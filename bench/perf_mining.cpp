@@ -9,6 +9,7 @@
 #include "mining/apriori.hpp"
 #include "mining/event_sets.hpp"
 #include "mining/fpgrowth.hpp"
+#include "oracles/mining_oracles.hpp"
 
 using namespace bglpred;
 using namespace bglpred::bench;
@@ -54,7 +55,7 @@ void BM_AprioriReference(benchmark::State& state) {
   options.min_support = support;
   std::size_t found = 0;
   for (auto _ : state) {
-    const FrequentSet result = apriori_reference(db, options);
+    const FrequentSet result = oracles::apriori_reference(db, options);
     found = result.size();
     benchmark::DoNotOptimize(found);
   }

@@ -127,6 +127,14 @@ class DynamicBitset {
     words_[word] |= std::uint64_t{1} << (bit % 64);
   }
 
+  /// Clears `bit` (a no-op past the current width).
+  void clear(std::size_t bit) {
+    const std::size_t word = bit / 64;
+    if (word < words_.size()) {
+      words_[word] &= ~(std::uint64_t{1} << (bit % 64));
+    }
+  }
+
   bool test(std::size_t bit) const {
     const std::size_t word = bit / 64;
     if (word >= words_.size()) {
@@ -177,6 +185,14 @@ class DynamicBitset {
     }
     for (std::size_t i = n; i < words_.size(); ++i) {
       words_[i] = 0;
+    }
+  }
+
+  /// this &= ~other.
+  void and_not_with(const DynamicBitset& other) {
+    const std::size_t n = std::min(words_.size(), other.words_.size());
+    for (std::size_t i = 0; i < n; ++i) {
+      words_[i] &= ~other.words_[i];
     }
   }
 

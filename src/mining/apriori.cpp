@@ -1,29 +1,12 @@
 #include "mining/apriori.hpp"
 
 #include <algorithm>
-#include <map>
-#include <unordered_map>
 
 #include "common/check.hpp"
 #include "common/error.hpp"
 
 namespace bglpred {
 namespace {
-
-// Hash for an itemset (FNV-ish over items). Collisions are resolved by the
-// map's key equality.
-struct ItemsetHash {
-  std::size_t operator()(const Itemset& items) const {
-    std::uint64_t h = 1469598103934665603ULL;
-    for (Item it : items) {
-      h ^= it;
-      h *= 1099511628211ULL;
-    }
-    return static_cast<std::size_t>(h);
-  }
-};
-
-using CandidateCounts = std::unordered_map<Itemset, std::size_t, ItemsetHash>;
 
 // A (k+1)-candidate plus the indices of the two frequent k-itemsets whose
 // prefix join produced it (its transaction bitset is the AND of theirs).
@@ -80,84 +63,16 @@ std::vector<Candidate> generate_candidates(
   return candidates;
 }
 
-// Enumerates all k-subsets of `items` and bumps matching candidates.
-void count_subsets(const Itemset& items, std::size_t k,
-                   CandidateCounts& counts) {
-  if (items.size() < k) {
-    return;
-  }
-  // Iterative combination enumeration over indices.
-  std::vector<std::size_t> idx(k);
-  for (std::size_t i = 0; i < k; ++i) {
-    idx[i] = i;
-  }
-  Itemset subset(k);
-  for (;;) {
-    for (std::size_t i = 0; i < k; ++i) {
-      subset[i] = items[idx[i]];
-    }
-    if (auto it = counts.find(subset); it != counts.end()) {
-      ++it->second;
-    }
-    // Advance to the next combination: bump the rightmost index that has
-    // room, then reset everything to its right.
-    std::ptrdiff_t pos = static_cast<std::ptrdiff_t>(k) - 1;
-    while (pos >= 0 &&
-           idx[static_cast<std::size_t>(pos)] ==
-               static_cast<std::size_t>(pos) + items.size() - k) {
-      --pos;
-    }
-    if (pos < 0) {
-      return;
-    }
-    ++idx[static_cast<std::size_t>(pos)];
-    for (std::size_t i = static_cast<std::size_t>(pos) + 1; i < k; ++i) {
-      idx[i] = idx[i - 1] + 1;
-    }
-  }
-}
-
-// Frequent single items with their counts, in ascending item order (the
-// order both implementations emit level-1 results in).
-std::map<Item, std::size_t> count_singles(const TransactionDb& db) {
-  std::map<Item, std::size_t> singles;
-  for (const Transaction& t : db.transactions()) {
-    for (Item item : t) {
-      ++singles[item];
-    }
-  }
-  return singles;
-}
-
-}  // namespace
-
-FrequentSet apriori(const TransactionDb& db, const MiningOptions& options) {
-  BGL_REQUIRE(options.max_itemset_size >= 1, "max itemset size must be >= 1");
-  std::vector<FrequentItemset> result;
-  if (db.empty()) {
-    return FrequentSet(std::move(result));
-  }
-  const std::size_t min_count = db.min_count_for(options.min_support);
-  const VerticalIndex& index = db.vertical_index();
-
-  // Pass 1: frequent single items, each carrying its transaction bitset.
-  std::vector<Itemset> frequent_k;
-  std::vector<DynamicBitset> tids_k;
-  for (const auto& [item, count] : count_singles(db)) {
-    if (count >= min_count) {
-      result.push_back({{item}, count});
-      frequent_k.push_back({item});
-      const DynamicBitset* column = index.column(item);
-      BGL_CHECK(column != nullptr,
-                "counted item missing from the vertical index");
-      tids_k.push_back(*column);
-    }
-  }
-
-  // Level-wise passes: a candidate's bitset is the AND of its two join
-  // parents' bitsets, and its support the popcount — no transaction scan.
+// Level-wise passes from the frequent single items `frequent_k`
+// (ascending, already in `result`) and their transaction bitsets
+// `tids_k`: a candidate's bitset is the AND of its two join parents'
+// bitsets, and its support the popcount — no transaction scan.
+void grow_levels(std::vector<Itemset> frequent_k,
+                 std::vector<DynamicBitset> tids_k, std::size_t min_count,
+                 std::size_t max_itemset_size, std::size_t transactions,
+                 std::vector<FrequentItemset>& result) {
   for (std::size_t k = 2;
-       k <= options.max_itemset_size && frequent_k.size() >= 2; ++k) {
+       k <= max_itemset_size && frequent_k.size() >= 2; ++k) {
     const std::vector<Candidate> candidates = generate_candidates(frequent_k);
     if (candidates.empty()) {
       break;
@@ -172,7 +87,7 @@ FrequentSet apriori(const TransactionDb& db, const MiningOptions& options) {
       // pay for an actual tidset.
       const std::size_t count =
           DynamicBitset::and_count(tids_k[c.left], tids_k[c.right]);
-      BGL_CHECK(count <= db.size(),
+      BGL_CHECK(count <= transactions,
                 "candidate counted more often than there are transactions");
       if (count >= min_count) {
         result.push_back({c.items, count});
@@ -188,72 +103,58 @@ FrequentSet apriori(const TransactionDb& db, const MiningOptions& options) {
     BGL_DCHECK(std::is_sorted(frequent_k.begin(), frequent_k.end()),
                "candidate generation lost lexicographic order");
   }
-  return FrequentSet(std::move(result));
 }
 
-FrequentSet apriori_reference(const TransactionDb& db,
-                              const MiningOptions& options) {
-  BGL_REQUIRE(options.max_itemset_size >= 1, "max itemset size must be >= 1");
+// Apriori over the transactions of `index` selected by `rows` (all of
+// them when `rows` is null), with label items hidden when `bodies_only`
+// is set. Pass 1 walks the index's items in ascending order, each
+// carrying its (row-masked) transaction bitset.
+FrequentSet apriori_rows(const VerticalIndex& index, const DynamicBitset* rows,
+                         bool bodies_only, std::size_t min_count,
+                         std::size_t max_itemset_size) {
   std::vector<FrequentItemset> result;
-  if (db.empty()) {
-    return FrequentSet(std::move(result));
-  }
-  const std::size_t min_count = db.min_count_for(options.min_support);
-
-  // Pass 1: frequent single items.
-  const std::map<Item, std::size_t> singles = count_singles(db);
   std::vector<Itemset> frequent_k;
-  for (const auto& [item, count] : singles) {
+  std::vector<DynamicBitset> tids_k;
+  for (std::size_t i = 0; i < index.items().size(); ++i) {
+    const Item item = index.items()[i];
+    if (bodies_only && is_label(item)) {
+      continue;
+    }
+    const DynamicBitset& column = index.columns()[i];
+    const std::size_t count = rows == nullptr
+                                  ? column.count()
+                                  : DynamicBitset::and_count(column, *rows);
     if (count >= min_count) {
       result.push_back({{item}, count});
       frequent_k.push_back({item});
+      tids_k.push_back(rows == nullptr ? column
+                                       : DynamicBitset::and_of(column, *rows));
     }
   }
-
-  // Restrict each transaction to its frequent items once; sortedness of
-  // transactions is preserved by the filter.
-  std::vector<Itemset> filtered;
-  filtered.reserve(db.size());
-  for (const Transaction& t : db.transactions()) {
-    Itemset keep;
-    for (Item item : t) {
-      const auto it = singles.find(item);
-      if (it != singles.end() && it->second >= min_count) {
-        keep.push_back(item);
-      }
-    }
-    filtered.push_back(std::move(keep));
-  }
-
-  // Level-wise passes with horizontal counting: enumerate each
-  // transaction's k-subsets against the candidate hash set.
-  for (std::size_t k = 2;
-       k <= options.max_itemset_size && frequent_k.size() >= 2; ++k) {
-    const std::vector<Candidate> candidates = generate_candidates(frequent_k);
-    if (candidates.empty()) {
-      break;
-    }
-    CandidateCounts counts;
-    counts.reserve(candidates.size() * 2);
-    for (const Candidate& c : candidates) {
-      counts.emplace(c.items, 0);
-    }
-    for (const Itemset& t : filtered) {
-      count_subsets(t, k, counts);
-    }
-    frequent_k.clear();
-    for (const Candidate& c : candidates) {
-      const std::size_t count = counts.at(c.items);
-      BGL_CHECK(count <= db.size(),
-                "candidate counted more often than there are transactions");
-      if (count >= min_count) {
-        result.push_back({c.items, count});
-        frequent_k.push_back(c.items);
-      }
-    }
-    std::sort(frequent_k.begin(), frequent_k.end());
-  }
+  grow_levels(std::move(frequent_k), std::move(tids_k), min_count,
+              max_itemset_size, index.transaction_count(), result);
   return FrequentSet(std::move(result));
+}
+
+}  // namespace
+
+FrequentSet apriori(const TransactionDb& db, const MiningOptions& options) {
+  BGL_REQUIRE(options.max_itemset_size >= 1, "max itemset size must be >= 1");
+  if (db.empty()) {
+    return FrequentSet(std::vector<FrequentItemset>{});
+  }
+  return apriori_rows(db.vertical_index(), nullptr, /*bodies_only=*/false,
+                      db.min_count_for(options.min_support),
+                      options.max_itemset_size);
+}
+
+FrequentSet apriori_bodies(const VerticalIndex& index,
+                           const DynamicBitset& rows, std::size_t min_count,
+                           std::size_t max_itemset_size) {
+  BGL_REQUIRE(max_itemset_size >= 1, "max itemset size must be >= 1");
+  BGL_REQUIRE(min_count >= 1, "minimum support count must be >= 1");
+  return apriori_rows(index, &rows, /*bodies_only=*/true, min_count,
+                      max_itemset_size);
 }
 
 }  // namespace bglpred

@@ -8,8 +8,9 @@
 // candidate's bitset is the word-wise AND of its two join parents'
 // bitsets, so counting is a popcount instead of a subset enumeration over
 // every transaction (Eclat-style counting on Apriori's level-wise
-// lattice). apriori_reference() keeps the original horizontal counting as
-// the differential-test oracle; both produce bit-identical FrequentSets.
+// lattice). The textbook horizontal-counting version lives with the
+// tests as the differential oracle (tests/oracles); both produce
+// bit-identical FrequentSets.
 #pragma once
 
 #include "mining/frequent.hpp"
@@ -20,11 +21,16 @@ namespace bglpred {
 /// (transaction-bitset) candidate counting.
 FrequentSet apriori(const TransactionDb& db, const MiningOptions& options);
 
-/// Reference implementation with horizontal counting (k-subset
-/// enumeration per transaction). Same output as apriori(); kept as the
-/// oracle for differential tests and as the readable statement of the
-/// textbook algorithm.
-FrequentSet apriori_reference(const TransactionDb& db,
-                              const MiningOptions& options);
+/// Mines the frequent *body* itemsets of the sub-database of `index`'s
+/// transactions whose bit is set in `rows`, with label items hidden —
+/// the per-label class database of rule generation — without
+/// materializing it: every column is intersected with `rows`. An itemset
+/// is frequent iff it occurs in at least `min_count` selected
+/// transactions. Same output, order included, as apriori() over the
+/// materialized label-stripped sub-database with the equivalent
+/// relative support.
+FrequentSet apriori_bodies(const VerticalIndex& index,
+                           const DynamicBitset& rows, std::size_t min_count,
+                           std::size_t max_itemset_size);
 
 }  // namespace bglpred

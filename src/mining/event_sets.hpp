@@ -2,10 +2,21 @@
 //
 // For each fatal event f in a preprocessed log, the event-set is the set
 // of distinct *non-fatal* subcategories observed in the rule generation
-// window (t_f - W, t_f) plus the label item for f's subcategory. Fatal
-// events with no precursors yield label-only transactions; they stay in
-// the database (they contribute to the support denominator and measure
-// the "no precursor" fraction the paper reports) but generate no rules.
+// window before f, plus the label item for f's subcategory. The window
+// holds the records that come before f in the log's order and whose time
+// lies in (t_f - W, t_f]: the open interval (t_f - W, t_f) plus any
+// record stamped in f's own second that sorts before f (RecordTimeOrder
+// breaks same-second ties by location, severity and entry data). A
+// same-second record sorting after f is not in f's window, and a record
+// exactly at t_f - W never is. Unclassified records contribute nothing.
+// Fatal events with no precursors yield label-only transactions; they
+// stay in the database (they contribute to the support denominator and
+// measure the "no precursor" fraction the paper reports) but generate no
+// rules.
+//
+// Extraction is linear in the log: positive windows keep a sliding
+// per-subcategory count, and negative windows search a contiguous time
+// array; both emit each transaction already sorted.
 #pragma once
 
 #include "common/time.hpp"
@@ -35,8 +46,9 @@ struct EventSetStats {
 /// (seconds).
 ///
 /// `negative_ratio` adds that many label-free *negative* windows per
-/// fatal event, sampled (deterministically from `seed`) at instants not
-/// followed by a failure within `window`. Negatives make a body's
+/// fatal event, sampled (deterministically from `seed`) at instants t not
+/// followed by a failure within `window`; a negative window holds every
+/// record with time in (t - W, t]. Negatives make a body's
 /// support count reflect how often it occurs when nothing fails, so rule
 /// confidence estimates P(failure | body) instead of the
 /// conditioned-on-failure quantity mined from positive windows alone.

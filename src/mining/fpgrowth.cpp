@@ -133,23 +133,38 @@ void mine(const FpTree& tree, std::size_t min_count,
   }
 }
 
-}  // namespace
-
-FrequentSet fpgrowth(const TransactionDb& db, const MiningOptions& options) {
-  BGL_REQUIRE(options.max_itemset_size >= 1, "max itemset size must be >= 1");
-  std::vector<FrequentItemset> result;
-  if (db.empty()) {
-    return FrequentSet(std::move(result));
+// Calls fn(transaction) for each transaction of `db` selected by `rows`
+// (all of them when `rows` is null), in database order.
+template <typename Fn>
+void for_each_row(const TransactionDb& db, const DynamicBitset* rows,
+                  Fn&& fn) {
+  if (rows == nullptr) {
+    for (const Transaction& t : db.transactions()) {
+      fn(t);
+    }
+    return;
   }
-  const std::size_t min_count = db.min_count_for(options.min_support);
+  rows->for_each_set([&](std::size_t r) {
+    BGL_CHECK_RANGE(r, db.size());
+    fn(db.transactions()[r]);
+    return false;
+  });
+}
 
+// FP-Growth over the transactions of `db` selected by `rows`, with label
+// items hidden when `bodies_only` is set.
+FrequentSet fpgrowth_rows(const TransactionDb& db, const DynamicBitset* rows,
+                          bool bodies_only, std::size_t min_count,
+                          std::size_t max_itemset_size) {
   // Global item frequencies.
   std::map<Item, std::size_t> singles;
-  for (const Transaction& t : db.transactions()) {
+  for_each_row(db, rows, [&](const Transaction& t) {
     for (Item item : t) {
-      ++singles[item];
+      if (!bodies_only || !is_label(item)) {
+        ++singles[item];
+      }
     }
-  }
+  });
 
   // Frequency-descending item order (ties by item id for determinism).
   std::vector<std::pair<Item, std::size_t>> order;
@@ -169,10 +184,11 @@ FrequentSet fpgrowth(const TransactionDb& db, const MiningOptions& options) {
     rank.emplace(order[i].first, i);
   }
 
-  // Build the global FP-tree.
+  // Build the global FP-tree (hidden items never reach `rank`).
   FpTree tree;
-  for (const Transaction& t : db.transactions()) {
-    std::vector<Item> kept;
+  std::vector<Item> kept;
+  for_each_row(db, rows, [&](const Transaction& t) {
+    kept.clear();
     for (Item item : t) {
       if (rank.count(item) != 0) {
         kept.push_back(item);
@@ -184,11 +200,33 @@ FrequentSet fpgrowth(const TransactionDb& db, const MiningOptions& options) {
     if (!kept.empty()) {
       tree.insert(kept, 1);
     }
-  }
+  });
 
+  std::vector<FrequentItemset> result;
   Itemset suffix;
-  mine(tree, min_count, options.max_itemset_size, suffix, result);
+  mine(tree, min_count, max_itemset_size, suffix, result);
   return FrequentSet(std::move(result));
+}
+
+}  // namespace
+
+FrequentSet fpgrowth(const TransactionDb& db, const MiningOptions& options) {
+  BGL_REQUIRE(options.max_itemset_size >= 1, "max itemset size must be >= 1");
+  if (db.empty()) {
+    return FrequentSet(std::vector<FrequentItemset>{});
+  }
+  return fpgrowth_rows(db, nullptr, /*bodies_only=*/false,
+                       db.min_count_for(options.min_support),
+                       options.max_itemset_size);
+}
+
+FrequentSet fpgrowth_bodies(const TransactionDb& db,
+                            const DynamicBitset& rows, std::size_t min_count,
+                            std::size_t max_itemset_size) {
+  BGL_REQUIRE(max_itemset_size >= 1, "max itemset size must be >= 1");
+  BGL_REQUIRE(min_count >= 1, "minimum support count must be >= 1");
+  return fpgrowth_rows(db, &rows, /*bodies_only=*/true, min_count,
+                       max_itemset_size);
 }
 
 }  // namespace bglpred

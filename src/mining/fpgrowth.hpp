@@ -14,4 +14,12 @@ namespace bglpred {
 /// Mines all frequent itemsets of `db` under `options`.
 FrequentSet fpgrowth(const TransactionDb& db, const MiningOptions& options);
 
+/// FP-Growth counterpart of apriori_bodies(): the frequent body itemsets
+/// (label items hidden) of the transactions of `db` selected by `rows`,
+/// each occurring in at least `min_count` of them, without copying the
+/// selected transactions.
+FrequentSet fpgrowth_bodies(const TransactionDb& db,
+                            const DynamicBitset& rows, std::size_t min_count,
+                            std::size_t max_itemset_size);
+
 }  // namespace bglpred

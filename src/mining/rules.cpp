@@ -111,15 +111,6 @@ const Rule* RuleSet::best_match(const ItemBitset& observed) const {
 }
 // bgl:hot-end
 
-const Rule* RuleSet::best_match_naive(const Itemset& observed) const {
-  for (const Rule& rule : rules_) {
-    if (is_subset(rule.body, observed)) {
-      return &rule;  // rules are confidence-sorted; first match wins
-    }
-  }
-  return nullptr;
-}
-
 std::vector<Rule> generate_rules(const FrequentSet& frequent,
                                  std::size_t transaction_count,
                                  double min_confidence) {
@@ -206,45 +197,49 @@ FrequentSet run_miner(const TransactionDb& db, const MiningOptions& options,
 // transactions carrying that label (support relative to the label's
 // count), then compute each rule's confidence against the *full*
 // database so competing contexts still discount weak bodies.
+//
+// A label's class database is never copied out: the miners read the
+// global database (its vertical index, for Apriori) through a row mask
+// selecting the label's transactions, with label items hidden. And the
+// min_rule_hits floor is pushed into the miners as an absolute count
+// floor: support is anti-monotone, so an itemset below the floor has no
+// superset above it, and the surviving rules are exactly the ones a
+// mine-then-filter pass keeps — without mining the discarded lattice.
 std::vector<Rule> mine_rules_per_label(const TransactionDb& db,
                                        const RuleOptions& options,
                                        MiningAlgorithm algorithm) {
-  // Group transactions by their (single) label item.
-  std::map<Item, std::vector<Transaction>> by_label;
-  for (const Transaction& t : db.transactions()) {
-    for (Item item : t) {
-      if (is_label(item)) {
-        // Strip the label; the per-class sub-database holds bodies only.
-        Transaction body;
-        body.reserve(t.size() - 1);
-        for (Item other : t) {
-          if (!is_label(other)) {
-            body.push_back(other);
-          }
-        }
-        by_label[item].push_back(std::move(body));
-        break;
-      }
-    }
-  }
-
+  // Reserve one slot of the itemset budget for the label. mine_rules
+  // rejects max_itemset_size == 0, so the subtract cannot wrap.
+  const std::size_t max_body_size =
+      std::max<std::size_t>(1, options.mining.max_itemset_size - 1);
+  const VerticalIndex& index = db.vertical_index();
   std::vector<Rule> rules;
-  for (const auto& [label, bodies] : by_label) {
-    if (bodies.size() < options.min_label_count) {
+  // A transaction belongs to the class of its first (smallest) label
+  // item, so a label's rows are its column minus the rows of smaller
+  // labels. Event-sets carry one label each: there the rows are exactly
+  // the label's column.
+  DynamicBitset earlier_labels;
+  for (std::size_t i = 0; i < index.items().size(); ++i) {
+    const Item label = index.items()[i];
+    if (!is_label(label)) {
       continue;
     }
-    TransactionDb class_db{std::vector<Transaction>(bodies)};
-    MiningOptions mining = options.mining;
-    // Reserve one slot of the itemset budget for the label. mine_rules
-    // rejects max_itemset_size == 0, so the subtract cannot wrap.
-    mining.max_itemset_size =
-        std::max<std::size_t>(1, mining.max_itemset_size - 1);
-    const FrequentSet frequent = run_miner(class_db, mining, algorithm);
+    DynamicBitset rows = index.columns()[i];
+    rows.and_not_with(earlier_labels);
+    earlier_labels.or_with(index.columns()[i]);
+    const std::size_t label_count = rows.count();
+    if (label_count < options.min_label_count) {
+      continue;
+    }
+    const std::size_t min_count =
+        std::max(min_count_for(options.mining.min_support, label_count),
+                 options.min_rule_hits);
+    const FrequentSet frequent =
+        algorithm == MiningAlgorithm::kApriori
+            ? apriori_bodies(index, rows, min_count, max_body_size)
+            : fpgrowth_bodies(db, rows, min_count, max_body_size);
     for (const FrequentItemset& f : frequent.itemsets()) {
-      if (f.items.empty() || f.count < options.min_rule_hits) {
-        continue;
-      }
-      const std::size_t body_count = db.absolute_support(f.items);
+      const std::size_t body_count = index.support(f.items);
       BGL_CHECK(body_count >= f.count,
                 "class-conditional support exceeds global body support");
       const double confidence = static_cast<double>(f.count) /

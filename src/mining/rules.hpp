@@ -93,10 +93,6 @@ class RuleSet {
   /// is inside the fixed bitset universe.
   const Rule* best_match(const ItemBitset& observed) const;
 
-  /// Reference implementation: linear scan in confidence order. Kept as
-  /// the differential-test oracle for the indexed matcher.
-  const Rule* best_match_naive(const Itemset& observed) const;
-
  private:
   const Rule* match_candidates(const ItemBitset& observed,
                                const Itemset* observed_items) const;

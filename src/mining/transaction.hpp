@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <vector>
 
 #include "common/bitset.hpp"
@@ -21,11 +20,20 @@ using Transaction = Itemset;
 /// itemset's absolute support is then popcount of the word-wise AND of
 /// its item columns — the layout Apriori candidate counting and the
 /// per-label confidence pass run on.
+///
+/// A column is only as wide as its last set bit, so columns of items
+/// confined to a prefix of the database (the label items of an event-set
+/// database, whose positive windows come first) stay short, and so does
+/// every intersection with them.
 class VerticalIndex {
  public:
   explicit VerticalIndex(const std::vector<Transaction>& transactions);
 
   std::size_t transaction_count() const { return transaction_count_; }
+
+  /// Every item that occurs, ascending; parallel to columns().
+  const std::vector<Item>& items() const { return items_; }
+  const std::vector<DynamicBitset>& columns() const { return columns_; }
 
   /// The item's transaction bitset, or nullptr if the item never occurs.
   const DynamicBitset* column(Item item) const;
@@ -35,8 +43,13 @@ class VerticalIndex {
 
  private:
   std::size_t transaction_count_ = 0;
-  std::unordered_map<Item, DynamicBitset> columns_;
+  std::vector<Item> items_;
+  std::vector<DynamicBitset> columns_;
 };
+
+/// Minimum absolute count corresponding to a relative support threshold
+/// over `transactions` transactions (ceil, but at least 1).
+std::size_t min_count_for(double relative_support, std::size_t transactions);
 
 /// An immutable collection of transactions.
 class TransactionDb {
@@ -54,6 +67,15 @@ class TransactionDb {
   /// Appends a transaction; items are sorted and deduplicated here.
   void add(Transaction t);
 
+  /// Appends a transaction whose items are already sorted and distinct
+  /// (checked in debug builds) — the bulk path for builders that emit
+  /// items in order.
+  void add_sorted(Transaction t);
+
+  void reserve(std::size_t transactions) {
+    transactions_.reserve(transactions);
+  }
+
   const std::vector<Transaction>& transactions() const {
     return transactions_;
   }
@@ -64,17 +86,14 @@ class TransactionDb {
   /// Uses the vertical index: a few word-wise ANDs + popcount.
   std::size_t absolute_support(const Itemset& items) const;
 
-  /// Reference implementation: per-transaction is_subset scan. Kept as
-  /// the differential-test oracle for the vertical index.
-  std::size_t absolute_support_naive(const Itemset& items) const;
-
   /// The item -> transaction-bitset index, built lazily on first use
   /// (thread-safe) and invalidated by add().
   const VerticalIndex& vertical_index() const;
 
-  /// Minimum absolute count corresponding to a relative support threshold
-  /// (ceil, but at least 1).
-  std::size_t min_count_for(double relative_support) const;
+  /// min_count_for(relative_support, size()).
+  std::size_t min_count_for(double relative_support) const {
+    return bglpred::min_count_for(relative_support, transactions_.size());
+  }
 
  private:
   std::vector<Transaction> transactions_;

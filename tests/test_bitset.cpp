@@ -17,6 +17,7 @@
 #include "mining/items.hpp"
 #include "mining/rules.hpp"
 #include "mining/transaction.hpp"
+#include "oracles/mining_oracles.hpp"
 
 namespace bglpred {
 namespace {
@@ -216,7 +217,7 @@ TEST(DifferentialTest, VerticalSupportMatchesNaive) {
     for (int q = 0; q < 50; ++q) {
       const Itemset query = random_query(rng, exotic);
       EXPECT_EQ(db.absolute_support(query),
-                db.absolute_support_naive(query))
+                oracles::absolute_support_naive(db, query))
           << "round " << round << " query " << itemset_to_string(query);
     }
   }
@@ -227,14 +228,15 @@ TEST(DifferentialTest, VerticalIndexSurvivesCopyAndMutation) {
   TransactionDb db = random_db(rng, 25, /*exotic=*/false);
   const Itemset query = {body_item(1), body_item(2)};
   const std::size_t before = db.absolute_support(query);  // builds index
-  EXPECT_EQ(before, db.absolute_support_naive(query));
+  EXPECT_EQ(before, oracles::absolute_support_naive(db, query));
   TransactionDb copy = db;  // copy drops the cached index
   copy.add({body_item(1), body_item(2)});
   EXPECT_EQ(copy.absolute_support(query), before + 1);
   EXPECT_EQ(db.absolute_support(query), before);  // original unaffected
   db.add({body_item(1), body_item(2), body_item(3)});  // invalidates index
   EXPECT_EQ(db.absolute_support(query), before + 1);
-  EXPECT_EQ(db.absolute_support(query), db.absolute_support_naive(query));
+  EXPECT_EQ(db.absolute_support(query),
+            oracles::absolute_support_naive(db, query));
 }
 
 TEST(DifferentialTest, AprioriMatchesReferenceAndFpGrowth) {
@@ -249,7 +251,7 @@ TEST(DifferentialTest, AprioriMatchesReferenceAndFpGrowth) {
     options.max_itemset_size =
         static_cast<std::size_t>(rng.uniform_int(1, 4));
     const FrequentSet fast = apriori(db, options);
-    const FrequentSet reference = apriori_reference(db, options);
+    const FrequentSet reference = oracles::apriori_reference(db, options);
     // The vertical fast path must reproduce the reference bit-for-bit,
     // order included.
     ASSERT_EQ(fast.size(), reference.size()) << "round " << round;
@@ -282,7 +284,7 @@ TEST(DifferentialTest, BestMatchMatchesNaive) {
     const RuleSet rules = mine_rules(db, options);
     for (int q = 0; q < 60; ++q) {
       const Itemset observed = random_query(rng, exotic);
-      const Rule* naive = rules.best_match_naive(observed);
+      const Rule* naive = oracles::best_match_naive(rules, observed);
       const Rule* fast = rules.best_match(observed);
       // Pointer equality: ties must resolve to the *same* rule.
       EXPECT_EQ(fast, naive)
@@ -306,7 +308,8 @@ TEST(RuleSetTest, EmptyBodyRuleMatchesEmptyWindow) {
   const RuleSet rules({rule});
   EXPECT_NE(rules.best_match(Itemset{}), nullptr);
   EXPECT_NE(rules.best_match(ItemBitset{}), nullptr);
-  EXPECT_EQ(rules.best_match(Itemset{}), rules.best_match_naive(Itemset{}));
+  EXPECT_EQ(rules.best_match(Itemset{}),
+            oracles::best_match_naive(rules, Itemset{}));
 }
 
 }  // namespace

@@ -12,8 +12,11 @@
 namespace bglpred {
 namespace {
 
+// The name is stored inline, not as a pointer: gtest prints an unprintable
+// parameter as its raw bytes, and those bytes end up in the discovered test
+// names, so a pointer would make every name change with the load address.
 struct ProfileCase {
-  const char* name;
+  char name[8];
   Duration rulegen_window;
 };
 

@@ -1,6 +1,7 @@
 // Tests for the association-rule mining substrate: itemsets, Apriori,
-// FP-Growth (cross-checked against each other and a brute-force oracle),
-// rule generation/combination, and event-set extraction.
+// FP-Growth (cross-checked against each other and the brute-force oracle
+// in tests/oracles), rule generation/combination, and event-set
+// extraction.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +13,7 @@
 #include "mining/event_sets.hpp"
 #include "mining/fpgrowth.hpp"
 #include "mining/rules.hpp"
+#include "oracles/mining_oracles.hpp"
 #include "taxonomy/catalog.hpp"
 
 namespace bglpred {
@@ -70,37 +72,6 @@ TEST(TransactionDbTest, MinCountCeilsAndFloorsAtOne) {
 }
 
 // ---- frequent itemset mining ------------------------------------------------
-
-// Brute-force oracle: enumerate all itemsets appearing in the db and
-// count support by scanning.
-std::vector<FrequentItemset> brute_force(const TransactionDb& db,
-                                         const MiningOptions& options) {
-  std::map<Itemset, std::size_t> counts;
-  for (const Transaction& t : db.transactions()) {
-    // Enumerate all non-empty subsets up to max size (transactions in
-    // these tests are small).
-    const std::size_t n = t.size();
-    for (std::size_t mask = 1; mask < (1u << n); ++mask) {
-      Itemset subset;
-      for (std::size_t b = 0; b < n; ++b) {
-        if (mask & (1u << b)) {
-          subset.push_back(t[b]);
-        }
-      }
-      if (subset.size() <= options.max_itemset_size) {
-        ++counts[subset];
-      }
-    }
-  }
-  const std::size_t min_count = db.min_count_for(options.min_support);
-  std::vector<FrequentItemset> out;
-  for (const auto& [items, count] : counts) {
-    if (count >= min_count) {
-      out.push_back({items, count});
-    }
-  }
-  return out;
-}
 
 TransactionDb random_db(std::uint64_t seed, std::size_t transactions,
                         int universe, int max_len) {
@@ -183,7 +154,7 @@ TEST_P(MinerEquivalenceTest, AprioriEqualsFpGrowthEqualsBruteForce) {
 
   const auto a = sorted_by_itemset(apriori(db, opt).itemsets());
   const auto f = sorted_by_itemset(fpgrowth(db, opt).itemsets());
-  const auto oracle = sorted_by_itemset(brute_force(db, opt));
+  const auto oracle = sorted_by_itemset(oracles::brute_force_frequent(db, opt));
 
   ASSERT_EQ(a.size(), oracle.size());
   ASSERT_EQ(f.size(), oracle.size());
