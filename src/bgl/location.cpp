@@ -1,7 +1,5 @@
 #include "bgl/location.hpp"
 
-#include <cstdio>
-
 #include "common/error.hpp"
 
 namespace bglpred::bgl {
@@ -64,37 +62,75 @@ std::string Location::str() const {
   return out;
 }
 
+namespace {
+
+/// Writes `v` in decimal at `p`, zero-padded to at least `min_digits`
+/// (printf's "%0<min_digits>u", wider when `v` needs more digits), and
+/// returns the end of what it wrote.
+char* put_uint(char* p, unsigned v, unsigned min_digits) {
+  char digits[10];
+  unsigned n = 0;
+  do {
+    digits[n++] = static_cast<char>('0' + v % 10);
+    v /= 10;
+  } while (v != 0);
+  while (n < min_digits) {
+    digits[n++] = '0';
+  }
+  while (n > 0) {
+    *p++ = digits[--n];
+  }
+  return p;
+}
+
+}  // namespace
+
 void Location::append_to(std::string& out) const {
-  // Zero-init so gcc's maybe-uninitialized check accepts the
-  // switch-covers-all-kinds control flow.
-  char buf[32] = {};
+  // Longest code: "R65535-M255-N255-C255" (21 bytes).
+  char buf[32];
+  char* p = buf;
+  const auto field = [&p](char tag, unsigned v, unsigned min_digits) {
+    *p++ = tag;
+    p = put_uint(p, v, min_digits);
+  };
+  field('R', rack, 2);
+  const auto below_rack = [&](char tag, unsigned v, unsigned min_digits) {
+    *p++ = '-';
+    field(tag, v, min_digits);
+  };
   switch (kind) {
     case LocationKind::kRack:
-      std::snprintf(buf, sizeof(buf), "R%02u", rack);
       break;
     case LocationKind::kMidplane:
-      std::snprintf(buf, sizeof(buf), "R%02u-M%u", rack, midplane);
+      below_rack('M', midplane, 1);
       break;
     case LocationKind::kNodeCard:
-      std::snprintf(buf, sizeof(buf), "R%02u-M%u-N%02u", rack, midplane,
-                    node_card);
+      below_rack('M', midplane, 1);
+      below_rack('N', node_card, 2);
       break;
     case LocationKind::kComputeChip:
-      std::snprintf(buf, sizeof(buf), "R%02u-M%u-N%02u-C%02u", rack, midplane,
-                    node_card, unit);
+      below_rack('M', midplane, 1);
+      below_rack('N', node_card, 2);
+      below_rack('C', unit, 2);
       break;
     case LocationKind::kIoNode:
-      std::snprintf(buf, sizeof(buf), "R%02u-M%u-N%02u-I%02u", rack, midplane,
-                    node_card, unit);
+      below_rack('M', midplane, 1);
+      below_rack('N', node_card, 2);
+      below_rack('I', unit, 2);
       break;
     case LocationKind::kLinkCard:
-      std::snprintf(buf, sizeof(buf), "R%02u-M%u-L%u", rack, midplane, unit);
+      below_rack('M', midplane, 1);
+      below_rack('L', unit, 1);
       break;
     case LocationKind::kServiceCard:
-      std::snprintf(buf, sizeof(buf), "R%02u-M%u-S", rack, midplane);
+      below_rack('M', midplane, 1);
+      *p++ = '-';
+      *p++ = 'S';
       break;
+    default:
+      return;  // not a LocationKind: nothing to name
   }
-  out += buf;
+  out.append(buf, static_cast<std::size_t>(p - buf));
 }
 
 Location Location::make_rack(std::uint16_t r) {

@@ -80,13 +80,39 @@ void format_time_to(std::string& out, TimePoint t) {
   int m = 0;
   int d = 0;
   civil_from_days(days, y, m, d);
-  char buf[32];
-  const int len =
-      std::snprintf(buf, sizeof(buf), "%04d-%02d-%02d %02d:%02d:%02d", y, m, d,
-                    static_cast<int>(sod / kHour),
-                    static_cast<int>((sod % kHour) / kMinute),
-                    static_cast<int>(sod % kMinute));
-  out.append(buf, static_cast<std::size_t>(len));
+  const int hh = static_cast<int>(sod / kHour);
+  const int mi = static_cast<int>((sod % kHour) / kMinute);
+  const int ss = static_cast<int>(sod % kMinute);
+  if (y < 0 || y > 9999) {
+    // A sign or a fifth year digit: let printf's %04d widen the field.
+    char buf[40];
+    const int len =
+        std::snprintf(buf, sizeof(buf), "%04d-%02d-%02d %02d:%02d:%02d", y,
+                      m, d, hh, mi, ss);
+    out.append(buf, static_cast<std::size_t>(len));
+    return;
+  }
+  // Every field now fits its width exactly ("YYYY-MM-DD HH:MM:SS"), so
+  // write the digits in place instead of paying for printf's parser on
+  // every record of a multi-million-line log.
+  char buf[19];
+  const auto put2 = [&buf](std::size_t at, int v) {
+    buf[at] = static_cast<char>('0' + v / 10);
+    buf[at + 1] = static_cast<char>('0' + v % 10);
+  };
+  put2(0, y / 100);
+  put2(2, y % 100);
+  buf[4] = '-';
+  put2(5, m);
+  buf[7] = '-';
+  put2(8, d);
+  buf[10] = ' ';
+  put2(11, hh);
+  buf[13] = ':';
+  put2(14, mi);
+  buf[16] = ':';
+  put2(17, ss);
+  out.append(buf, sizeof(buf));
 }
 
 bool try_parse_time(std::string_view text, TimePoint& out) {

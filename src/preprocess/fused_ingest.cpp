@@ -2,6 +2,7 @@
 
 #include <fstream>
 #include <unordered_map>
+#include <vector>
 
 #include "common/error.hpp"
 #include "preprocess/compressors.hpp"
@@ -25,7 +26,17 @@ class FusedPipeline {
                 "threshold must be non-negative");
   }
 
-  void push(const RasRecord& parsed, std::string_view entry) {
+  /// The output log's pool. Every parsed record's entry must be
+  /// interned here before push(), even for records the compressors drop,
+  /// so pool ids line up with the three-step path, where read_log
+  /// interns every record before any compression runs.
+  StringPool& pool() { return log_.pool(); }
+
+  // bgl:hot-begin(phase1-fused)
+  /// Classifies and compresses one record; `entry` is its entry-data id
+  /// in pool(). The memo makes classification one phrase scan per
+  /// distinct (entry, facility, severity), not per record.
+  void push(const RasRecord& parsed, StringId entry) {
     BGL_REQUIRE(!have_prev_ || parsed.time >= prev_time_,
                 "fused ingest requires non-decreasing record times "
                 "(use read_log + preprocess for unsorted input)");
@@ -33,13 +44,9 @@ class FusedPipeline {
     prev_time_ = parsed.time;
     ++st_.raw_records;
 
-    // Intern unconditionally — even records the compressors drop —
-    // so pool ids line up with the three-step path, where read_log
-    // interns every kept record before any compression runs.
     RasRecord rec = parsed;
-    rec.entry_data = log_.pool().intern(entry);
-    classifier_.classify_record(log_.pool().str(rec.entry_data), rec,
-                                st_.classification);
+    rec.entry_data = entry;
+    classifier_.classify_record(log_.pool(), rec, st_.classification, memo_);
 
     // Temporal pass (gap-based clustering, last_seen advances on
     // every record — same update rule as compress_temporal).
@@ -66,6 +73,7 @@ class FusedPipeline {
     ++st_.spatial.output_records;
     log_.append(rec);
   }
+  // bgl:hot-end
 
   RasLog finish(PreprocessStats* stats) {
     st_.temporal.removed =
@@ -91,6 +99,7 @@ class FusedPipeline {
   RasLog log_;
   PreprocessStats st_;
   const EventClassifier classifier_;
+  ClassificationMemo memo_;  // serves log_.pool(), grows with it
   std::unordered_map<detail::TemporalKey, TimePoint, detail::TemporalKeyHash>
       temporal_seen_;
   std::unordered_map<detail::SpatialKey, TimePoint, detail::SpatialKeyHash>
@@ -112,7 +121,8 @@ RasLog ingest_classified(std::istream& is, const ReadOptions& read_options,
   IngestReport& rep = report != nullptr ? *report : local_report;
   ingest_records(is, read_options, rep,
                  [&pipeline](const RasRecord& parsed, std::string_view entry) {
-                   pipeline.push(parsed, entry);
+                   // Parsed text has no id to reuse: one intern per record.
+                   pipeline.push(parsed, pipeline.pool().intern(entry));
                  });
   return pipeline.finish(stats);
 }
@@ -122,9 +132,21 @@ RasLog ingest_classified(RecordBatchSource& source,
                          PreprocessStats* stats) {
   FusedPipeline pipeline(options);
   RasLog batch;
+  // Batch-pool id -> output-pool id, filled lazily in record order so the
+  // output pool interns texts in first-appearance order (a batch pool may
+  // hold unused texts, or list them in another order) and hashes each
+  // distinct text once per batch rather than once per record.
+  std::vector<StringId> to_output;
   while (source.next_batch(batch)) {
+    to_output.assign(batch.pool().size(), kInvalidStringId);
     for (const RasRecord& rec : batch.records()) {
-      pipeline.push(rec, batch.text_of(rec));
+      BGL_REQUIRE(rec.entry_data < to_output.size(),
+                  "batch record's entry_data is not in its batch pool");
+      StringId& out = to_output[rec.entry_data];
+      if (out == kInvalidStringId) {
+        out = pipeline.pool().intern(batch.text_of(rec));
+      }
+      pipeline.push(rec, out);
     }
   }
   return pipeline.finish(stats);

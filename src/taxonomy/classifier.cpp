@@ -57,17 +57,55 @@ void EventClassifier::classify_record(std::string_view entry_data,
                                       RasRecord& rec,
                                       ClassificationStats& stats) const {
   bool matched_phrase = false;
-  const SubcategoryId id =
+  rec.subcategory =
       classify(entry_data, rec.facility, rec.severity, &matched_phrase);
+  tally(rec.subcategory, matched_phrase, stats);
+}
+
+// bgl:hot-begin(phase1-fused)
+void EventClassifier::classify_record(const StringPool& pool, RasRecord& rec,
+                                      ClassificationStats& stats,
+                                      ClassificationMemo& memo) const {
+  auto& slots = memo.slots_;
+  const StringId id = rec.entry_data;
+  if (id >= slots.size() && id < pool.size()) {
+    slots.resize(pool.size());  // the pool grew since the last call
+  }
+  const auto facility = static_cast<std::uint8_t>(rec.facility);
+  const auto severity = static_cast<std::uint8_t>(rec.severity);
+  if (id < slots.size()) {
+    const ClassificationMemo::Slot slot = slots[id];
+    if (slot.facility == facility && slot.severity == severity) {
+      const bool matched_phrase =
+          (slot.result & ClassificationMemo::kPhraseBit) != 0;
+      rec.subcategory = static_cast<SubcategoryId>(
+          slot.result & ~ClassificationMemo::kPhraseBit);
+      tally(rec.subcategory, matched_phrase, stats);
+      return;
+    }
+  }
+  // Miss (or a key change): the full scan; pool.str rejects a bad id.
+  bool matched_phrase = false;
+  rec.subcategory = classify(pool.str(id), rec.facility, rec.severity,
+                             &matched_phrase);
+  slots[id] = {facility, severity,
+               static_cast<std::uint16_t>(
+                   rec.subcategory |
+                   (matched_phrase ? ClassificationMemo::kPhraseBit : 0))};
+  tally(rec.subcategory, matched_phrase, stats);
+}
+
+void EventClassifier::tally(SubcategoryId id, bool matched_phrase,
+                            ClassificationStats& stats) {
   if (matched_phrase) {
     ++stats.classified_by_phrase;
   } else {
     ++stats.classified_by_fallback;
   }
-  rec.subcategory = id;
   ++stats.total;
   ++stats.per_main[static_cast<std::size_t>(catalog().info(id).main)];
 }
+// bgl:hot-end
 
 SubcategoryId EventClassifier::fallback(Facility facility,
                                         Severity severity) const {
@@ -97,8 +135,9 @@ SubcategoryId EventClassifier::fallback(Facility facility,
 
 ClassificationStats EventClassifier::classify_all(RasLog& log) const {
   ClassificationStats stats;
+  ClassificationMemo memo(log.pool().size());
   for (RasRecord& rec : log.mutable_records()) {
-    classify_record(log.text_of(rec), rec, stats);
+    classify_record(log.pool(), rec, stats, memo);
   }
   return stats;
 }

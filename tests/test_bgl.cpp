@@ -1,8 +1,10 @@
 // Tests for the BG/L machine model: locations, topology, torus, jobs.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <map>
 #include <set>
+#include <string>
 
 #include "bgl/location.hpp"
 #include "bgl/scheduler.hpp"
@@ -24,6 +26,82 @@ TEST(LocationTest, FormatsCanonicalCodes) {
   EXPECT_EQ(Location::make_io_node(0, 0, 3, 2).str(), "R00-M0-N03-I02");
   EXPECT_EQ(Location::make_link_card(0, 1, 3).str(), "R00-M1-L3");
   EXPECT_EQ(Location::make_service_card(0, 0).str(), "R00-M0-S");
+}
+
+// The snprintf formats Location::append_to used before it wrote digits
+// in place: the oracle for the differential test below.
+std::string snprintf_location(const Location& loc) {
+  char buf[32] = {};
+  switch (loc.kind) {
+    case LocationKind::kRack:
+      std::snprintf(buf, sizeof(buf), "R%02u", loc.rack);
+      break;
+    case LocationKind::kMidplane:
+      std::snprintf(buf, sizeof(buf), "R%02u-M%u", loc.rack, loc.midplane);
+      break;
+    case LocationKind::kNodeCard:
+      std::snprintf(buf, sizeof(buf), "R%02u-M%u-N%02u", loc.rack,
+                    loc.midplane, loc.node_card);
+      break;
+    case LocationKind::kComputeChip:
+      std::snprintf(buf, sizeof(buf), "R%02u-M%u-N%02u-C%02u", loc.rack,
+                    loc.midplane, loc.node_card, loc.unit);
+      break;
+    case LocationKind::kIoNode:
+      std::snprintf(buf, sizeof(buf), "R%02u-M%u-N%02u-I%02u", loc.rack,
+                    loc.midplane, loc.node_card, loc.unit);
+      break;
+    case LocationKind::kLinkCard:
+      std::snprintf(buf, sizeof(buf), "R%02u-M%u-L%u", loc.rack, loc.midplane,
+                    loc.unit);
+      break;
+    case LocationKind::kServiceCard:
+      std::snprintf(buf, sizeof(buf), "R%02u-M%u-S", loc.rack, loc.midplane);
+      break;
+  }
+  return buf;
+}
+
+TEST(LocationTest, FormatMatchesSnprintfAcrossFieldWidths) {
+  // Pinned strings first: %02u and %u widen past 2 and 1 digits.
+  Location wide = Location::make_compute_chip(300, 100, 255, 100);
+  EXPECT_EQ(wide.str(), "R300-M100-N255-C100");
+  wide.rack = 65535;
+  EXPECT_EQ(wide.str(), "R65535-M100-N255-C100");
+
+  constexpr LocationKind kKinds[] = {
+      LocationKind::kRack,        LocationKind::kMidplane,
+      LocationKind::kNodeCard,    LocationKind::kComputeChip,
+      LocationKind::kIoNode,      LocationKind::kLinkCard,
+      LocationKind::kServiceCard,
+  };
+  // Both sides of 10 and 100 (one and two padding digits, and none).
+  constexpr std::uint8_t kSmall[] = {0, 1, 9, 10, 11, 99, 100, 101, 255};
+  std::size_t checked = 0;
+  std::string out;
+  for (const LocationKind kind : kKinds) {
+    for (unsigned rack = 0; rack <= 300; ++rack) {
+      for (const std::uint8_t midplane : kSmall) {
+        for (const std::uint8_t node_card : kSmall) {
+          for (const std::uint8_t unit : kSmall) {
+            Location loc;
+            loc.kind = kind;
+            loc.rack = static_cast<std::uint16_t>(rack);
+            loc.midplane = midplane;
+            loc.node_card = node_card;
+            loc.unit = unit;
+            out = "prefix|";
+            loc.append_to(out);
+            ASSERT_EQ(out, "prefix|" + snprintf_location(loc))
+                << to_string(kind) << " rack " << rack << " m "
+                << +midplane << " n " << +node_card << " u " << +unit;
+            ++checked;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_EQ(checked, 7u * 301u * 9u * 9u * 9u);
 }
 
 TEST(LocationTest, ParseRoundTripsEveryKind) {

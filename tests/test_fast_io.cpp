@@ -9,10 +9,12 @@
 // text-level corruption class the fault-injection harness produces.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <sstream>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/parse.hpp"
@@ -22,6 +24,7 @@
 #include "preprocess/pipeline.hpp"
 #include "raslog/fast_io.hpp"
 #include "raslog/io.hpp"
+#include "raslog/source.hpp"
 #include "simgen/generator.hpp"
 #include "taxonomy/classifier.hpp"
 
@@ -548,6 +551,211 @@ TEST(FusedIngestTest, StrictErrorsMatchFastReader) {
   });
   ASSERT_FALSE(ref_error.empty());
   EXPECT_EQ(ref_error, fused_error);
+}
+
+/// Replays a time-sorted log in batches of `batch_size` records. Each
+/// batch pool holds texts no record of the batch uses and lists the
+/// batch's texts in reverse first-appearance order, the two things the
+/// fused source path's batch-to-output id map must not leak into the
+/// output pool.
+class ScrambledBatchSource : public RecordBatchSource {
+ public:
+  ScrambledBatchSource(const RasLog& log, std::size_t batch_size)
+      : log_(log), batch_size_(batch_size) {}
+
+  bool next_batch(RasLog& out) override {
+    out = RasLog();
+    if (next_ >= log_.size()) {
+      return false;
+    }
+    const std::size_t end = std::min(next_ + batch_size_, log_.size());
+    std::vector<StringId> first_seen;
+    for (std::size_t i = next_; i < end; ++i) {
+      const StringId id = log_.records()[i].entry_data;
+      if (std::find(first_seen.begin(), first_seen.end(), id) ==
+          first_seen.end()) {
+        first_seen.push_back(id);
+      }
+    }
+    out.pool().intern("unused head text " + std::to_string(batches_));
+    for (auto it = first_seen.rbegin(); it != first_seen.rend(); ++it) {
+      out.pool().intern(log_.pool().str(*it));
+    }
+    out.pool().intern("unused tail text");
+    for (std::size_t i = next_; i < end; ++i) {
+      RasRecord rec = log_.records()[i];
+      rec.entry_data = out.pool().find(log_.text_of(rec));
+      out.append(rec);
+    }
+    next_ = end;
+    ++batches_;
+    return true;
+  }
+
+ private:
+  const RasLog& log_;
+  std::size_t batch_size_;
+  std::size_t next_ = 0;
+  std::size_t batches_ = 0;
+};
+
+/// `log`'s records appended with their texts in record order: the pool
+/// the three-step path builds when it reads a stream.
+RasLog reinterned_in_record_order(const RasLog& log) {
+  RasLog out;
+  for (const RasRecord& rec : log.records()) {
+    out.append_with_text(rec, log.text_of(rec));
+  }
+  return out;
+}
+
+TEST(FusedIngestTest, ScrambledBatchSourceMatchesThreeStepPipeline) {
+  GeneratedLog g = LogGenerator(SystemProfile::anl()).generate(0.01, 3);
+  ASSERT_TRUE(g.log.is_time_sorted());
+  RasLog ref = reinterned_in_record_order(g.log);
+  const PreprocessStats ref_stats = preprocess(ref);
+
+  for (const std::size_t batch_size : {std::size_t{1}, std::size_t{997}}) {
+    ScrambledBatchSource source(g.log, batch_size);
+    PreprocessStats fused_stats;
+    const RasLog fused = ingest_classified(source, {}, &fused_stats);
+    // Same records, entry ids and pool (size and order), not only texts.
+    expect_same_log(ref, fused);
+    expect_same_preprocess_stats(ref_stats, fused_stats);
+  }
+}
+
+// ---- memoised classification -------------------------------------------
+
+void expect_same_classification(const ClassificationStats& want,
+                                const ClassificationStats& got) {
+  EXPECT_EQ(want.classified_by_phrase, got.classified_by_phrase);
+  EXPECT_EQ(want.classified_by_fallback, got.classified_by_fallback);
+  EXPECT_EQ(want.total, got.total);
+  EXPECT_EQ(want.per_main, got.per_main);
+}
+
+TEST(ClassificationMemoTest, KeyedOnFacilityAndSeverityNotEntryAlone) {
+  const EventClassifier classifier;
+  // One text holding phrases of two facilities: the facility-first scan
+  // classifies it differently under each.
+  const SubcategoryInfo& a = catalog().info(catalog().find("torusFailure"));
+  const auto b_it = std::find_if(
+      catalog().entries().begin(), catalog().entries().end(),
+      [&a](const SubcategoryInfo& info) { return info.facility != a.facility; });
+  ASSERT_NE(b_it, catalog().entries().end());
+  const SubcategoryInfo& b = *b_it;
+  const std::string two_phrases =
+      std::string(a.phrase) + " | " + std::string(b.phrase);
+  ASSERT_EQ(classifier.classify(two_phrases, a.facility, a.severity), a.id);
+  ASSERT_EQ(classifier.classify(two_phrases, b.facility, a.severity), b.id);
+
+  // One text matching no phrase, under a facility whose severity
+  // fallback differs between two severities.
+  const std::string no_phrase = "zzz memo key probe zzz";
+  Facility fb_facility = Facility::kApp;
+  Severity fb_low = Severity::kInfo;
+  Severity fb_high = Severity::kInfo;
+  bool found = false;
+  for (int f = 0; f < kFacilityCount && !found; ++f) {
+    const auto facility = static_cast<Facility>(f);
+    for (int s1 = 0; s1 < kSeverityCount && !found; ++s1) {
+      for (int s2 = s1 + 1; s2 < kSeverityCount && !found; ++s2) {
+        const auto low = static_cast<Severity>(s1);
+        const auto high = static_cast<Severity>(s2);
+        if (classifier.classify(no_phrase, facility, low) !=
+            classifier.classify(no_phrase, facility, high)) {
+          fb_facility = facility;
+          fb_low = low;
+          fb_high = high;
+          found = true;
+        }
+      }
+    }
+  }
+  ASSERT_TRUE(found);
+
+  struct Key {
+    const std::string* text;
+    Facility facility;
+    Severity severity;
+  };
+  const Key keys[] = {
+      {&two_phrases, a.facility, a.severity},
+      {&two_phrases, b.facility, a.severity},
+      {&two_phrases, a.facility, b.severity},
+      {&two_phrases, b.facility, b.severity},
+      {&no_phrase, fb_facility, fb_low},
+      {&no_phrase, fb_facility, fb_high},
+  };
+  constexpr std::size_t kKeys = sizeof(keys) / sizeof(keys[0]);
+  // Strictly increasing times and zero thresholds: the compressors keep
+  // every record, so the fused outputs line up with the input.
+  const auto make_log = [&] {
+    RasLog log;
+    for (std::size_t i = 0; i < 8 * kKeys; ++i) {
+      // Rotate the visiting order each round so every slot is
+      // overwritten by, and then read back after, every other key.
+      const Key& key = keys[(i + i / kKeys) % kKeys];
+      RasRecord rec;
+      rec.time = make_time(2005, 6, 1) + 10 * static_cast<TimePoint>(i);
+      rec.job = 7;
+      rec.location = bgl::Location::make_node_card(1, 0, 3);
+      rec.facility = key.facility;
+      rec.severity = key.severity;
+      log.append_with_text(rec, *key.text);
+    }
+    return log;
+  };
+  const PreprocessOptions keep_all{0, 0};
+
+  // Oracle: per-record classify, no memo.
+  const RasLog input = make_log();
+  std::vector<SubcategoryId> want;
+  ClassificationStats want_stats;
+  for (RasRecord rec : input.records()) {
+    classifier.classify_record(input.text_of(rec), rec, want_stats);
+    want.push_back(rec.subcategory);
+  }
+  ASSERT_NE(want[0], want[1]);  // same text, different facility
+  ASSERT_NE(want[4], want[5]);  // same text, different severity
+  ASSERT_GT(want_stats.classified_by_phrase, 0u);
+  ASSERT_GT(want_stats.classified_by_fallback, 0u);
+
+  const auto expect_matches_oracle = [&](const RasLog& got,
+                                         const char* path) {
+    ASSERT_EQ(got.size(), input.size()) << path;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got.text_of(got.records()[i]),
+                input.text_of(input.records()[i]))
+          << path << " record " << i;
+      EXPECT_EQ(got.records()[i].subcategory, want[i])
+          << path << " record " << i;
+    }
+  };
+
+  {
+    RasLog log = make_log();
+    const ClassificationStats stats = classifier.classify_all(log);
+    expect_matches_oracle(log, "classify_all");
+    expect_same_classification(want_stats, stats);
+  }
+  {
+    std::stringstream text;
+    write_log(text, input);
+    PreprocessStats stats;
+    const RasLog fused = ingest_classified(text, ReadOptions::strict(),
+                                           keep_all, &stats);
+    expect_matches_oracle(fused, "fused istream");
+    expect_same_classification(want_stats, stats.classification);
+  }
+  {
+    ScrambledBatchSource source(input, 5);
+    PreprocessStats stats;
+    const RasLog fused = ingest_classified(source, keep_all, &stats);
+    expect_matches_oracle(fused, "fused source");
+    expect_same_classification(want_stats, stats.classification);
+  }
 }
 
 // ---- classifier attribution hook ---------------------------------------

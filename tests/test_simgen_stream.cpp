@@ -405,6 +405,35 @@ TEST(SimgenStreamTest, FusedIngestFromSourceMatchesThreeStep) {
     EXPECT_EQ(a.subcategory, b.subcategory) << "record " << i;
     EXPECT_EQ(streamed.text_of(a), oracle.text_of(b)) << "record " << i;
   }
+
+  // Entry ids and the pool, too: the oracle's pool is interned in
+  // generation order, so compare against the three-step pipeline over
+  // the same stream's records appended (and interned) in stream order.
+  StreamRecordSource replay(SystemProfile::anl(), cfg);
+  RasLog in_order;
+  RasLog batch;
+  while (replay.next_batch(batch)) {
+    for (const RasRecord& rec : batch.records()) {
+      in_order.append_with_text(rec, batch.text_of(rec));
+    }
+  }
+  const PreprocessStats in_order_stats = preprocess(in_order);
+  ASSERT_EQ(streamed.size(), in_order.size());
+  EXPECT_EQ(streamed.pool().size(), in_order.pool().size());
+  for (std::size_t i = 0; i < streamed.size(); ++i) {
+    EXPECT_EQ(streamed.records()[i].entry_data,
+              in_order.records()[i].entry_data)
+        << "record " << i;
+  }
+  const ClassificationStats& got = streamed_stats.classification;
+  const ClassificationStats& want = in_order_stats.classification;
+  EXPECT_EQ(got.classified_by_phrase, want.classified_by_phrase);
+  EXPECT_EQ(got.classified_by_fallback, want.classified_by_fallback);
+  EXPECT_EQ(got.total, want.total);
+  EXPECT_EQ(got.per_main, want.per_main);
+  EXPECT_EQ(got.per_main, want_stats.classification.per_main);
+  EXPECT_EQ(streamed_stats.fatal_per_main, in_order_stats.fatal_per_main);
+  EXPECT_EQ(streamed_stats.fatal_per_main, want_stats.fatal_per_main);
 }
 
 // ---- multi-stream routing ------------------------------------------------

@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdio>
+#include <string>
+
 #include "common/error.hpp"
 
 namespace bglpred {
@@ -58,6 +62,67 @@ TEST(TimeTest, FormatParseRoundTripSweep) {
         make_time(2038, 1, 19, 3, 14, 7), make_time(1999, 12, 31)}) {
     EXPECT_EQ(parse_time(format_time(t)), t);
   }
+}
+
+// The snprintf format format_time_to used before it wrote digits in
+// place: the oracle for the sweep below. The calendar fields come from
+// <chrono>, independently of time.cpp's civil-days conversion.
+std::string snprintf_format_time(TimePoint t) {
+  using namespace std::chrono;
+  const sys_seconds s{seconds{t}};
+  const sys_days day = floor<days>(s);
+  const year_month_day ymd{day};
+  const auto sod = static_cast<int>((s - day).count());
+  char buf[40];
+  const int len = std::snprintf(
+      buf, sizeof(buf), "%04d-%02d-%02d %02d:%02d:%02d",
+      static_cast<int>(ymd.year()),
+      static_cast<int>(static_cast<unsigned>(ymd.month())),
+      static_cast<int>(static_cast<unsigned>(ymd.day())), sod / 3600,
+      sod % 3600 / 60, sod % 60);
+  return std::string(buf, static_cast<std::size_t>(len));
+}
+
+TEST(TimeTest, FormatMatchesSnprintfFromBeforeEpochPastYear9999) {
+  // Pinned strings first, so the oracle itself is checked: years outside
+  // 0..9999 take the printf fallback and widen exactly as %04d does.
+  EXPECT_EQ(format_time(-1), "1969-12-31 23:59:59");
+  EXPECT_EQ(format_time(make_time(0, 1, 1)), "0000-01-01 00:00:00");
+  EXPECT_EQ(format_time(make_time(-1, 12, 31, 23, 59, 59)),
+            "-001-12-31 23:59:59");
+  EXPECT_EQ(format_time(make_time(9999, 12, 31, 23, 59, 59)),
+            "9999-12-31 23:59:59");
+  EXPECT_EQ(format_time(make_time(10000, 1, 1)), "10000-01-01 00:00:00");
+  EXPECT_EQ(format_time(make_time(-1234, 5, 6, 7, 8, 9)),
+            "-1234-05-06 07:08:09");
+
+  std::size_t checked = 0;
+  const auto check = [&checked](TimePoint t) {
+    std::string out = "prefix|";
+    format_time_to(out, t);
+    ASSERT_EQ(out, "prefix|" + snprintf_format_time(t)) << "t = " << t;
+    ++checked;
+  };
+  // Dense windows around every boundary the digit writer has: the year
+  // -1/0 and 9999/10000 fallback edges, the epoch (negative seconds of
+  // day), a leap day, and a century year.
+  for (const TimePoint anchor :
+       {make_time(0, 1, 1), make_time(10000, 1, 1), TimePoint{0},
+        make_time(2004, 2, 29), make_time(2000, 1, 1),
+        make_time(1900, 3, 1)}) {
+    for (TimePoint t = anchor - 2 * kDay; t <= anchor + 2 * kDay; t += 997) {
+      check(t);
+    }
+  }
+  // And a coarse sweep from before year 0 to past 10000 (stride is a
+  // prime number of seconds so every time-of-day field varies).
+  const TimePoint first = make_time(-40, 1, 1);
+  const TimePoint last = make_time(10040, 1, 1);
+  const TimePoint stride = (last - first) / 100003 + 1;
+  for (TimePoint t = first; t <= last; t += stride) {
+    check(t);
+  }
+  EXPECT_GT(checked, 100000u);
 }
 
 TEST(TimeTest, FormatDuration) {

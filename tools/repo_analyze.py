@@ -120,6 +120,8 @@ REQUIRED_HOT_FILES = (
     "src/simgen/stream.cpp",
     "src/logstore/cursor.cpp",
     "src/mining/rules.cpp",
+    "src/preprocess/fused_ingest.cpp",
+    "src/taxonomy/classifier.cpp",
     "src/core/online.cpp",
     "src/serve/session.cpp",
     "src/serve/server.cpp",
