@@ -1,12 +1,16 @@
 // Deterministic load generator for the sharded prediction service
 // (EXPERIMENTS.md X9/X11).
 //
-// Two workloads share this binary:
+// Three workloads share this binary:
 //
 //  * BM_ServeLoadgen — the original blocking-client replay: simgen logs
 //    as interleaved streams through a real loopback server, reporting
 //    records/s plus the p50/p99 warning age from the server's own
 //    histogram.
+//  * BM_Crc32 / BM_SubmitBatchCodec — the served path's per-byte wire
+//    cost without the socket: the frame checksum alone (next to the
+//    bytewise reference loop, BM_Crc32Bytewise), and a 128-record
+//    SUBMIT_BATCH frame through encode, frame verify and record decode.
 //  * BM_ServeSweep — the 1→10k concurrent-connection latency sweep
 //    (EXPERIMENTS.md X11). Every connection is a nonblocking state
 //    machine driven by a client-side epoll EventPoller: pre-encoded
@@ -53,8 +57,11 @@
 
 #include "bench_json.hpp"
 #include "common/binary.hpp"
+#include "common/crc32.hpp"
+#include "common/rng.hpp"
 #include "core/three_phase.hpp"
 #include "faultinject/chaos_clients.hpp"
+#include "oracles/wire_oracles.hpp"
 #include "serve/client.hpp"
 #include "serve/event_poller.hpp"
 #include "serve/net_util.hpp"
@@ -1112,9 +1119,13 @@ void BM_ServeLoadgen(benchmark::State& state) {
     options.shards.predictor_factory = [&tpp] {
       return tpp.make_predictor(Method::kEveryFailure);
     };
+    // Server start-up and shutdown are not part of the served path:
+    // only submit and poll are timed.
+    state.PauseTiming();
     Server server(options);
     server.start();
     Client client = Client::connect(server.port());
+    state.ResumeTiming();
     warnings = 0;
     busy_rounds = 0;
     for (std::size_t s = 0; s < load.streams.size(); ++s) {
@@ -1123,6 +1134,7 @@ void BM_ServeLoadgen(benchmark::State& state) {
     for (std::size_t s = 0; s < load.streams.size(); ++s) {
       warnings += client.poll_warnings(s).size();
     }
+    state.PauseTiming();
     // Same process as the server: read the latency distribution straight
     // from its registry (lookup by name returns the live instrument).
     Histogram& age = server.metrics().histogram("serve.warning_age_micros");
@@ -1131,6 +1143,7 @@ void BM_ServeLoadgen(benchmark::State& state) {
     client.shutdown_server();
     server.stop();
     benchmark::DoNotOptimize(warnings);
+    state.ResumeTiming();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(load.total_records));
@@ -1144,12 +1157,84 @@ void BM_ServeLoadgen(benchmark::State& state) {
 
 // Args: {shard_count, worker_threads}. The 1-shard/0-worker row is the
 // single-threaded floor; extra shards measure routing overhead and, with
-// workers, shard-parallel drains.
+// workers, shard-parallel drains. Real time: the client thread sleeps in
+// every round trip while the server loop works, so records per client
+// CPU-second would overstate throughput.
 BENCHMARK(BM_ServeLoadgen)
     ->Args({1, 0})
     ->Args({4, 0})
     ->Args({4, 2})
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
+
+/// CRC-32 over a random buffer of state.range(0) bytes: the checksum
+/// every frame pays twice (client encode, server verify), and every
+/// log-store segment, manifest and shard checkpoint once.
+template <std::uint32_t (*Crc)(std::string_view, std::uint32_t)>
+void crc32_rows(benchmark::State& state) {
+  const auto size = static_cast<std::size_t>(state.range(0));
+  Rng rng(0xc3c);
+  std::string buf(size, '\0');
+  for (char& c : buf) {
+    c = static_cast<char>(rng() & 0xffu);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc(buf, 0));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(size));
+}
+void BM_Crc32(benchmark::State& state) { crc32_rows<crc32>(state); }
+void BM_Crc32Bytewise(benchmark::State& state) {
+  crc32_rows<oracles::reference_crc32>(state);
+}
+BENCHMARK(BM_Crc32)->Arg(64)->Arg(4 << 10)->Arg(64 << 10);
+BENCHMARK(BM_Crc32Bytewise)->Arg(64)->Arg(4 << 10)->Arg(64 << 10);
+
+/// The served path's per-record wire cost without the socket: encode a
+/// 128-record SUBMIT_BATCH frame (client), then frame-verify and decode
+/// it (server), cycling through the workload's first stream.
+void BM_SubmitBatchCodec(benchmark::State& state) {
+  constexpr std::size_t kFrameRecords = 128;
+  const std::vector<WireRecord>& records = workload().streams.front();
+  std::size_t cursor = 0;
+  std::int64_t bytes = 0;
+  FrameReader reader;
+  Frame decoded;
+  FrameError error;
+  std::vector<WireRecordView> views;
+  views.reserve(kFrameRecords);
+  for (auto _ : state) {
+    Frame frame;
+    frame.type = MessageType::kSubmitBatch;
+    frame.stream_id = 1;
+    wire::append<std::uint32_t>(frame.payload, kFrameRecords);
+    for (std::size_t i = 0; i < kFrameRecords; ++i) {
+      const WireRecord& wr = records[cursor];
+      encode_record(frame.payload, wr.record, wr.entry);
+      cursor = cursor + 1 == records.size() ? 0 : cursor + 1;
+    }
+    const std::string wire_bytes = encode_frame(frame);
+    bytes += static_cast<std::int64_t>(wire_bytes.size());
+    reader.feed(wire_bytes);
+    if (reader.next(decoded, error) != FrameReader::Status::kFrame) {
+      state.SkipWithError("frame did not decode");
+      break;
+    }
+    BytesReader in(decoded.payload);
+    const auto count = in.read<std::uint32_t>("batch record count");
+    views.clear();
+    for (std::uint32_t i = 0; i < count; ++i) {
+      views.push_back(decode_record_view(in));
+    }
+    benchmark::DoNotOptimize(views.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(kFrameRecords));
+  state.SetBytesProcessed(bytes);
+}
+BENCHMARK(BM_SubmitBatchCodec);
 
 // The 1→10k concurrent-connection latency sweep (EXPERIMENTS.md X11).
 // One iteration per row: a row IS a full population lifecycle, and

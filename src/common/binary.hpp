@@ -17,13 +17,24 @@
 
 namespace bglpred::wire {
 
-/// Appends an integral value to a byte buffer, little-endian.
+/// Encodes an integral value into `sizeof(T)` raw bytes at `data`,
+/// little-endian. Lets a fixed-layout header be built in a local buffer
+/// and appended as one block.
+template <typename T>
+void encode(char* data, T value) {
+  const auto v = static_cast<std::uint64_t>(value);
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    data[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+  }
+}
+
+/// Appends an integral value to a byte buffer, little-endian, as one
+/// block (one capacity check, not one per byte).
 template <typename T>
 void append(std::string& out, T value) {
-  for (std::size_t i = 0; i < sizeof(T); ++i) {
-    out.push_back(static_cast<char>(
-        (static_cast<std::uint64_t>(value) >> (8 * i)) & 0xff));
-  }
+  char buf[sizeof(T)];
+  encode<T>(buf, value);
+  out.append(buf, sizeof(T));
 }
 
 /// Decodes an integral value from a raw byte pointer, little-endian.
@@ -50,10 +61,7 @@ inline void read_exact(std::istream& is, char* buffer, std::size_t n,
 template <typename T>
 void write(std::ostream& os, T value) {
   char buf[sizeof(T)];
-  for (std::size_t i = 0; i < sizeof(T); ++i) {
-    buf[i] = static_cast<char>(
-        (static_cast<std::uint64_t>(value) >> (8 * i)) & 0xff);
-  }
+  encode<T>(buf, value);
   os.write(buf, sizeof(T));
 }
 

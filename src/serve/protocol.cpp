@@ -40,17 +40,19 @@ const char* to_string(ErrorCode code) {
 std::string encode_frame(const Frame& frame) {
   BGL_REQUIRE(frame.payload.size() <= kMaxPayload,
               "frame payload exceeds kMaxPayload");
+  char head[kFrameHeaderSize] = {};
+  kFrameMagic.copy(head, kFrameMagic.size());
+  wire::encode<std::uint8_t>(head + 4, kProtocolVersion);
+  wire::encode<std::uint8_t>(head + 5, static_cast<std::uint8_t>(frame.type));
+  wire::encode<std::uint16_t>(head + 6, frame.flags);
+  wire::encode<std::uint64_t>(head + 8, frame.stream_id);
+  wire::encode<std::uint32_t>(head + 16, frame.seq);
+  wire::encode<std::uint32_t>(
+      head + kLengthOffset, static_cast<std::uint32_t>(frame.payload.size()));
+  wire::encode<std::uint32_t>(head + kCrcOffset, crc32(frame.payload));
   std::string out;
   out.reserve(kFrameHeaderSize + frame.payload.size());
-  out += kFrameMagic;
-  wire::append<std::uint8_t>(out, kProtocolVersion);
-  wire::append<std::uint8_t>(out, static_cast<std::uint8_t>(frame.type));
-  wire::append<std::uint16_t>(out, frame.flags);
-  wire::append<std::uint64_t>(out, frame.stream_id);
-  wire::append<std::uint32_t>(out, frame.seq);
-  wire::append<std::uint32_t>(out,
-                              static_cast<std::uint32_t>(frame.payload.size()));
-  wire::append<std::uint32_t>(out, crc32(frame.payload));
+  out.append(head, kFrameHeaderSize);
   out += frame.payload;
   return out;
 }
@@ -151,10 +153,7 @@ std::string_view BytesReader::read_string_view(const char* what,
     throw ParseError(std::string("payload string implausibly long reading ") +
                      what);
   }
-  require(len, what);
-  const std::string_view s(bytes_.data() + pos_, len);
-  pos_ += len;
-  return s;
+  return std::string_view(read_bytes(len, what), len);
 }
 
 // ---- record / warning codecs ---------------------------------------------
@@ -164,23 +163,44 @@ void append_string(std::string& out, std::string_view s) {
   wire::append<std::uint32_t>(out, static_cast<std::uint32_t>(s.size()));
   out += s;
 }
+
+// A record travels as a fixed 27-byte header followed by the
+// length-prefixed entry text:
+//
+//   offset size  field                 offset size  field
+//   0      8     time (i64)            21     1     location unit
+//   8      4     entry data            22     1     event type
+//   12     4     job                   23     1     facility
+//   16     1     location kind         24     1     severity
+//   17     2     location rack         25     2     subcategory
+//   19     1     location midplane     27     4     entry length
+//   20     1     location node card    31     -     entry bytes
+constexpr std::size_t kRecordHeaderSize = 27;
 }  // namespace
 
 void encode_record(std::string& out, const RasRecord& rec,
                    std::string_view entry) {
-  wire::append<std::int64_t>(out, rec.time);
-  wire::append<std::uint32_t>(out, rec.entry_data);
-  wire::append<std::uint32_t>(out, rec.job);
-  wire::append<std::uint8_t>(out, static_cast<std::uint8_t>(rec.location.kind));
-  wire::append<std::uint16_t>(out, rec.location.rack);
-  wire::append<std::uint8_t>(out, rec.location.midplane);
-  wire::append<std::uint8_t>(out, rec.location.node_card);
-  wire::append<std::uint8_t>(out, rec.location.unit);
-  wire::append<std::uint8_t>(out, static_cast<std::uint8_t>(rec.event_type));
-  wire::append<std::uint8_t>(out, static_cast<std::uint8_t>(rec.facility));
-  wire::append<std::uint8_t>(out, static_cast<std::uint8_t>(rec.severity));
-  wire::append<std::uint16_t>(out, rec.subcategory);
-  append_string(out, entry);
+  char head[kRecordHeaderSize + 4] = {};
+  wire::encode<std::int64_t>(head + 0, rec.time);
+  wire::encode<std::uint32_t>(head + 8, rec.entry_data);
+  wire::encode<std::uint32_t>(head + 12, rec.job);
+  wire::encode<std::uint8_t>(head + 16,
+                             static_cast<std::uint8_t>(rec.location.kind));
+  wire::encode<std::uint16_t>(head + 17, rec.location.rack);
+  wire::encode<std::uint8_t>(head + 19, rec.location.midplane);
+  wire::encode<std::uint8_t>(head + 20, rec.location.node_card);
+  wire::encode<std::uint8_t>(head + 21, rec.location.unit);
+  wire::encode<std::uint8_t>(head + 22,
+                             static_cast<std::uint8_t>(rec.event_type));
+  wire::encode<std::uint8_t>(head + 23,
+                             static_cast<std::uint8_t>(rec.facility));
+  wire::encode<std::uint8_t>(head + 24,
+                             static_cast<std::uint8_t>(rec.severity));
+  wire::encode<std::uint16_t>(head + 25, rec.subcategory);
+  wire::encode<std::uint32_t>(head + kRecordHeaderSize,
+                              static_cast<std::uint32_t>(entry.size()));
+  out.append(head, sizeof(head));
+  out += entry;
 }
 
 WireRecord decode_record(BytesReader& in) {
@@ -192,24 +212,22 @@ WireRecordView decode_record_view(BytesReader& in) {
   // Enum fields pass through as raw integers on purpose: the
   // OnlineEngine's validate() is the single range-checking authority, so
   // a served stream and an in-process stream degrade identically.
+  const char* h = in.read_bytes(kRecordHeaderSize, "record header");
   WireRecordView wr;
   RasRecord& rec = wr.record;
-  rec.time = in.read<std::int64_t>("record time");
-  rec.entry_data = in.read<std::uint32_t>("record entry data");
-  rec.job = in.read<std::uint32_t>("record job");
+  rec.time = wire::decode<std::int64_t>(h + 0);
+  rec.entry_data = wire::decode<std::uint32_t>(h + 8);
+  rec.job = wire::decode<std::uint32_t>(h + 12);
   rec.location.kind =
-      static_cast<bgl::LocationKind>(in.read<std::uint8_t>("location kind"));
-  rec.location.rack = in.read<std::uint16_t>("location rack");
-  rec.location.midplane = in.read<std::uint8_t>("location midplane");
-  rec.location.node_card = in.read<std::uint8_t>("location node card");
-  rec.location.unit = in.read<std::uint8_t>("location unit");
-  rec.event_type =
-      static_cast<EventType>(in.read<std::uint8_t>("record event type"));
-  rec.facility =
-      static_cast<Facility>(in.read<std::uint8_t>("record facility"));
-  rec.severity =
-      static_cast<Severity>(in.read<std::uint8_t>("record severity"));
-  rec.subcategory = in.read<std::uint16_t>("record subcategory");
+      static_cast<bgl::LocationKind>(wire::decode<std::uint8_t>(h + 16));
+  rec.location.rack = wire::decode<std::uint16_t>(h + 17);
+  rec.location.midplane = wire::decode<std::uint8_t>(h + 19);
+  rec.location.node_card = wire::decode<std::uint8_t>(h + 20);
+  rec.location.unit = wire::decode<std::uint8_t>(h + 21);
+  rec.event_type = static_cast<EventType>(wire::decode<std::uint8_t>(h + 22));
+  rec.facility = static_cast<Facility>(wire::decode<std::uint8_t>(h + 23));
+  rec.severity = static_cast<Severity>(wire::decode<std::uint8_t>(h + 24));
+  rec.subcategory = wire::decode<std::uint16_t>(h + 25);
   wr.entry = in.read_string_view("record entry text");
   return wr;
 }

@@ -30,6 +30,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/binary.hpp"
 #include "predict/predictor.hpp"
 #include "raslog/record.hpp"
 
@@ -164,18 +165,17 @@ class BytesReader {
 
   template <typename T>
   T read(const char* what) {
-    require(sizeof(T), what);
-    T v;
-    std::size_t off = pos_;
-    pos_ += sizeof(T);
-    std::uint64_t raw = 0;
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      raw |= static_cast<std::uint64_t>(
-                 static_cast<unsigned char>(bytes_[off + i]))
-             << (8 * i);
-    }
-    v = static_cast<T>(raw);
-    return v;
+    return wire::decode<T>(read_bytes(sizeof(T), what));
+  }
+
+  /// Consumes `n` raw bytes with one bounds check and returns a pointer
+  /// to them (aliasing the underlying buffer), for fixed-layout blocks
+  /// decoded field by field with wire::decode.
+  const char* read_bytes(std::size_t n, const char* what) {
+    require(n, what);
+    const char* p = bytes_.data() + pos_;
+    pos_ += n;
+    return p;
   }
 
   double read_double(const char* what);

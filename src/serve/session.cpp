@@ -4,6 +4,7 @@
 #include <sstream>
 #include <utility>
 
+#include "common/binary.hpp"
 #include "common/error.hpp"
 #include "serve/clock.hpp"
 
@@ -244,14 +245,9 @@ Session::Status Session::handle_submit(const Frame& frame, std::string& out) {
   reply.type = busy ? MessageType::kRejectedBusy : MessageType::kOk;
   reply.stream_id = frame.stream_id;
   reply.seq = frame.seq;
-  std::string payload;
   // Both replies carry the accepted count: on kRejectedBusy the client
   // resumes the batch from this offset after backing off.
-  payload.reserve(8);
-  for (int b = 0; b < 8; ++b) {
-    payload.push_back(static_cast<char>((accepted >> (8 * b)) & 0xff));
-  }
-  reply.payload = std::move(payload);
+  wire::append<std::uint64_t>(reply.payload, accepted);
   respond(std::move(reply), out);
   metrics_->submit_micros.record(monotonic_micros() - started);
   return Status::kKeepOpen;

@@ -105,8 +105,7 @@ ShardManager::Submit ShardManager::submit(std::uint64_t stream_id,
     metrics_.records_rejected.inc();
     return Submit::kBusy;
   }
-  shard.queue.push_back(QueuedRecord{stream_id, record, std::move(entry),
-                                     monotonic_micros()});
+  shard.queue.push_back(QueuedRecord{stream_id, record, std::move(entry)});
   shard.queue_depth->set(static_cast<std::int64_t>(shard.queue.size()));
   metrics_.records_in.inc();
   ++accepted_totals_[stream_id];
@@ -126,6 +125,10 @@ void ShardManager::drain_shard(std::size_t index) {
     Stream& stream = stream_for(shard, index, item.stream_id);
     std::vector<Warning> warnings =
         stream.engine.feed(item.record, item.entry);
+    if (warnings.empty()) {
+      continue;
+    }
+    // Stamped only when a warning is born: most records raise none.
     const std::uint64_t born = monotonic_micros();
     for (Warning& w : warnings) {
       stream.pending.push_back(std::move(w));

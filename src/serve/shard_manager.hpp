@@ -132,7 +132,6 @@ class ShardManager {
     std::uint64_t stream_id = 0;
     RasRecord record;
     std::string entry;
-    std::uint64_t enqueued_micros = 0;  ///< steady-clock stamp
   };
 
   /// One stream's full serving state.

@@ -2,12 +2,18 @@
 // common metrics registry it reports through.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/binary.hpp"
 #include "common/crc32.hpp"
 #include "common/error.hpp"
 #include "common/metrics.hpp"
+#include "common/rng.hpp"
+#include "oracles/wire_oracles.hpp"
 #include "serve/protocol.hpp"
 #include "taxonomy/catalog.hpp"
 
@@ -26,6 +32,93 @@ TEST(Crc32Test, SeedChainsMultiPartComputations) {
   const std::uint32_t whole = crc32("123456789");
   const std::uint32_t part = crc32("6789", crc32("12345"));
   EXPECT_EQ(part, whole);
+}
+
+std::string random_bytes(Rng& rng, std::size_t n) {
+  std::string out(n, '\0');
+  for (char& c : out) {
+    c = static_cast<char>(rng() & 0xffu);
+  }
+  return out;
+}
+
+TEST(Crc32Test, SlicedMatchesBytewiseAtEveryLengthAndOffset) {
+  // Every length 0..256 at every start offset 0..7 covers each way the
+  // 8-byte main loop and the bytewise tail can split a buffer, at every
+  // alignment of the first byte.
+  Rng rng(0xc3c32);
+  const std::string buf = random_bytes(rng, 256 + 8);
+  const std::string_view view(buf);
+  for (std::size_t off = 0; off < 8; ++off) {
+    for (std::size_t len = 0; len <= 256; ++len) {
+      const std::string_view part = view.substr(off, len);
+      ASSERT_EQ(crc32(part), oracles::reference_crc32(part))
+          << "offset " << off << " length " << len;
+      ASSERT_EQ(crc32(part, 0x12345678u),
+                oracles::reference_crc32(part, 0x12345678u))
+          << "seeded, offset " << off << " length " << len;
+    }
+  }
+}
+
+TEST(Crc32Test, SlicedMatchesBytewiseOnRandomBuffersAndChainsAtEverySplit) {
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    Rng rng(seed);
+    const auto len = static_cast<std::size_t>(rng.uniform_int(0, 64 << 10));
+    const std::string big = random_bytes(rng, len);
+    ASSERT_EQ(crc32(big), oracles::reference_crc32(big))
+        << "seed " << seed << " length " << len;
+    // Chaining: prefix CRC as the suffix's seed equals the whole-buffer
+    // CRC at every split point (a shorter buffer keeps this quadratic
+    // check cheap).
+    const std::string small = big.substr(0, std::min<std::size_t>(len, 1500));
+    const std::string_view view(small);
+    const std::uint32_t whole = crc32(view);
+    for (std::size_t split = 0; split <= view.size(); ++split) {
+      ASSERT_EQ(crc32(view.substr(split), crc32(view.substr(0, split))), whole)
+          << "seed " << seed << " split " << split;
+    }
+  }
+}
+
+// ---- wire primitives -----------------------------------------------------
+
+template <typename T>
+void expect_append_matches_reference(T value) {
+  std::string got = "prefix";
+  std::string want = "prefix";
+  wire::append<T>(got, value);
+  oracles::reference_append<T>(want, value);
+  EXPECT_EQ(got, want) << "width " << sizeof(T) << " value "
+                       << static_cast<long long>(value);
+  std::ostringstream os;
+  wire::write<T>(os, value);
+  EXPECT_EQ(os.str(), want.substr(6));
+  EXPECT_EQ(wire::decode<T>(got.data() + 6), value);
+}
+
+template <typename T>
+void expect_append_matches_reference_at_edges() {
+  using L = std::numeric_limits<T>;
+  for (const T v : {T{0}, T{1}, T{0x5a}, L::max(), L::min(),
+                    static_cast<T>(L::max() - 1), static_cast<T>(L::min() + 1)}) {
+    expect_append_matches_reference<T>(v);
+  }
+}
+
+TEST(WireTest, AppendMatchesPerByteLoopForEveryIntegralWidth) {
+  expect_append_matches_reference_at_edges<std::uint8_t>();
+  expect_append_matches_reference_at_edges<std::int8_t>();
+  expect_append_matches_reference_at_edges<std::uint16_t>();
+  expect_append_matches_reference_at_edges<std::int16_t>();
+  expect_append_matches_reference_at_edges<std::uint32_t>();
+  expect_append_matches_reference_at_edges<std::int32_t>();
+  expect_append_matches_reference_at_edges<std::uint64_t>();
+  expect_append_matches_reference_at_edges<std::int64_t>();
+  expect_append_matches_reference<std::int64_t>(-1);
+  expect_append_matches_reference<std::int64_t>(-1136073600);
+  expect_append_matches_reference<std::int32_t>(-2);
+  expect_append_matches_reference<std::uint64_t>(0x0102030405060708ULL);
 }
 
 // ---- framing -------------------------------------------------------------
@@ -179,12 +272,82 @@ TEST(CodecTest, RecordRoundtrip) {
 }
 
 TEST(CodecTest, TruncatedRecordThrowsParseError) {
+  // Every proper prefix: inside the fixed header, inside the entry
+  // length, and inside the entry text.
   std::string bytes;
   encode_record(bytes, sample_record(), "entry");
-  for (const std::size_t keep : {0u, 1u, 8u, 20u}) {
+  for (std::size_t keep = 0; keep < bytes.size(); ++keep) {
     BytesReader in(std::string_view(bytes).substr(0, keep));
     EXPECT_THROW(decode_record(in), ParseError) << "kept " << keep;
   }
+}
+
+std::string from_hex(std::string_view hex) {
+  const auto nibble = [](char c) {
+    return c <= '9' ? c - '0' : c - 'a' + 10;
+  };
+  std::string out;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
+    out.push_back(static_cast<char>(nibble(hex[i]) * 16 + nibble(hex[i + 1])));
+  }
+  return out;
+}
+
+TEST(CodecTest, SubmitBatchFrameMatchesGoldenBytes) {
+  // Pins the version-1 wire layout byte for byte: header fields, the
+  // payload CRC (0x886190e5, also what zlib.crc32 gives for these 38
+  // payload bytes) and one record's 27-byte header plus entry text.
+  RasRecord rec;
+  rec.time = 1136073600;  // 0x43b71b80
+  rec.entry_data = 7;
+  rec.job = 0x12345;
+  rec.location.kind = bgl::LocationKind::kComputeChip;  // 3
+  rec.location.rack = 0x0102;
+  rec.location.midplane = 1;
+  rec.location.node_card = 15;
+  rec.location.unit = 2;
+  rec.event_type = EventType::kRas;     // 0
+  rec.facility = Facility::kKernel;     // 2
+  rec.severity = Severity::kFailure;    // 5
+  rec.subcategory = 0xab;
+  Frame frame;
+  frame.type = MessageType::kSubmitBatch;
+  frame.flags = kFlagPipelineFollow;
+  frame.stream_id = 0x1122334455667788ULL;
+  frame.seq = 0x0a0b0c0d;
+  wire::append<std::uint32_t>(frame.payload, 1);
+  encode_record(frame.payload, rec, "abc");
+  const std::string golden = from_hex(
+      // magic "BGLS", version 1, type 2, flags 0x0001
+      "42474c53" "01" "02" "0100"
+      // stream id, seq, payload length 38, payload CRC
+      "8877665544332211" "0d0c0b0a" "26000000" "e5906188"
+      // payload: record count 1
+      "01000000"
+      // time, entry data, job
+      "801bb74300000000" "07000000" "45230100"
+      // location kind, rack, midplane, node card, unit
+      "03" "0201" "01" "0f" "02"
+      // event type, facility, severity, subcategory
+      "00" "02" "05" "ab00"
+      // entry length 3, "abc"
+      "03000000" "616263");
+  ASSERT_EQ(golden.size(), kFrameHeaderSize + 38);
+  EXPECT_EQ(encode_frame(frame), golden);
+
+  FrameReader reader;
+  reader.feed(golden);
+  Frame got;
+  FrameError error;
+  ASSERT_EQ(reader.next(got, error), FrameReader::Status::kFrame);
+  EXPECT_EQ(got.flags, kFlagPipelineFollow);
+  BytesReader in(got.payload);
+  ASSERT_EQ(in.read<std::uint32_t>("count"), 1u);
+  const WireRecordView view = decode_record_view(in);
+  EXPECT_EQ(in.remaining(), 0u);
+  std::string reencoded;
+  encode_record(reencoded, view.record, view.entry);
+  EXPECT_EQ(reencoded, golden.substr(kFrameHeaderSize + 4));
 }
 
 TEST(CodecTest, WarningRoundtripPreservesEveryField) {
