@@ -30,6 +30,17 @@ class StringPool {
   /// return the same id.
   StringId intern(std::string_view s);
 
+  /// intern(s) for streams whose strings mostly repeat the one before:
+  /// returns `previous` without hashing when `s` equals the string stored
+  /// under it (the pool's own copy, so `s` may view a buffer the caller
+  /// has since refilled). kInvalidStringId means no previous string.
+  StringId intern_after(StringId previous, std::string_view s) {
+    if (previous < strings_.size() && strings_[previous] == s) {
+      return previous;
+    }
+    return intern(s);
+  }
+
   /// Looks up an already-interned string; returns kInvalidStringId if
   /// absent (never inserts).
   StringId find(std::string_view s) const;

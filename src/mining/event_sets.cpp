@@ -1,6 +1,7 @@
 #include "mining/event_sets.hpp"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "common/bitset.hpp"
 #include "common/error.hpp"
@@ -12,43 +13,43 @@ namespace {
 // Marks records that contribute no body item (fatal or unclassified).
 constexpr SubcategoryId kNoBody = kUnclassified;
 
-// Appends the set bits of `live` (subcategory ids, ascending) as body
-// items: the transaction comes out sorted and sized exactly, with room
-// for `extra` more items.
-Transaction emit_bodies(const DynamicBitset& live, std::size_t extra) {
-  Transaction t;
-  t.reserve(live.count() + extra);
+// bgl:hot-begin(rule-extract)
+// Appends the set bits of `live` (subcategory ids, ascending) to the
+// open row of `db` as body items, straight from the bitset.
+void push_bodies(const DynamicBitset& live, TransactionDb& db) {
   live.for_each_set([&](std::size_t subcat) {
-    t.push_back(body_item(static_cast<SubcategoryId>(subcat)));
+    db.push_item(body_item(static_cast<SubcategoryId>(subcat)));
     return false;
   });
-  return t;
 }
+// bgl:hot-end
 
 // Lower-bound search over a sorted time array through a bucket table:
-// the span is cut into about one bucket per record, and a bucket stores
+// the span is cut into at most one bucket per record, and a bucket stores
 // the first record at or after its start, so a query costs one table
 // lookup plus a search within its bucket instead of a full-length binary
 // search. The negative windows sample their instants uniformly over the
 // span, and each full-length search missed cache at almost every step.
+// Bucket widths are a power of two, so a time's bucket is a shift, not a
+// division, and the table is built by two branch-free passes.
 class TimeIndex {
  public:
   explicit TimeIndex(const std::vector<TimePoint>& times)
-      : times_(times),
-        begin_(times.front()),
-        width_(std::max<Duration>(
-            1, (times.back() - times.front()) /
-                   static_cast<Duration>(times.size()) + 1)) {
-    const auto buckets = static_cast<std::size_t>(
-        (times.back() - begin_) / width_ + 1);
-    first_.resize(buckets + 1);
-    std::size_t i = 0;
-    for (std::size_t b = 0; b <= buckets; ++b) {
-      const TimePoint start = begin_ + static_cast<Duration>(b) * width_;
-      while (i < times.size() && times[i] < start) {
-        ++i;
-      }
-      first_[b] = i;
+      : times_(times), begin_(times.front()) {
+    BGL_REQUIRE(times.size() < UINT32_MAX, "too many records to index");
+    const auto span = static_cast<std::uint64_t>(times.back() - begin_);
+    while ((span >> shift_) > times.size()) {
+      ++shift_;
+    }
+    const auto buckets = static_cast<std::size_t>(span >> shift_) + 1;
+    // first_[b] = the first record whose bucket is b or later; the extra
+    // slot past the last bucket holds times.size().
+    first_.assign(buckets + 1, static_cast<std::uint32_t>(times.size()));
+    for (std::size_t i = times.size(); i-- > 0;) {
+      first_[bucket(times[i])] = static_cast<std::uint32_t>(i);
+    }
+    for (std::size_t b = buckets; b-- > 0;) {
+      first_[b] = std::min(first_[b], first_[b + 1]);
     }
   }
 
@@ -57,7 +58,7 @@ class TimeIndex {
     if (t <= begin_) {
       return 0;
     }
-    const auto b = static_cast<std::size_t>((t - begin_) / width_);
+    const std::size_t b = bucket(t);
     if (b + 1 >= first_.size()) {
       return times_.size();
     }
@@ -71,10 +72,16 @@ class TimeIndex {
   }
 
  private:
+  // Bucket of a time at or after begin_.
+  std::size_t bucket(TimePoint t) const {
+    return static_cast<std::size_t>(static_cast<std::uint64_t>(t - begin_) >>
+                                    shift_);
+  }
+
   const std::vector<TimePoint>& times_;
   TimePoint begin_;
-  Duration width_;
-  std::vector<std::size_t> first_;
+  unsigned shift_ = 0;  // bucket width is 2^shift_ seconds
+  std::vector<std::uint32_t> first_;
 };
 
 }  // namespace
@@ -126,38 +133,42 @@ TransactionDb extract_event_sets(const LogView& log, Duration window,
   TransactionDb db;
   db.reserve(fatals.size() + wanted);
 
-  // Positive windows: a sliding count per body subcategory over records
-  // [window_start, i) — every record enters once and leaves once, however
-  // much consecutive fatal windows overlap — plus the set of subcategories
-  // with a non-zero count, which is the transaction's body.
-  std::vector<std::uint32_t> counts(body_bits, 0);
-  DynamicBitset live(body_bits);
+  // Positive windows: fatal record i's body is every subcategory seen in
+  // records [window_start, i), that is every subcategory whose latest
+  // occurrence before i lies at or after window_start. Each record enters
+  // once, storing its index + 1 as its subcategory's latest (records with
+  // no body write a spare slot, so the loop does not branch on them); a
+  // window then reads the body off that table in ascending order, which
+  // costs O(body_bits): the catalog's 101 subcategories on real logs.
+  std::vector<std::size_t> latest(body_bits + 1, 0);
   std::size_t counted = 0;       // records [0, counted) have entered
   std::size_t window_start = 0;  // first index with time > t - window
+  // bgl:hot-begin(rule-extract)
   for (const std::size_t i : fatals) {
     const TimePoint t = times[i];
     for (; counted < i; ++counted) {
       const SubcategoryId s = bodies[counted];
-      if (s != kNoBody && counts[s]++ == 0) {
-        live.set(s);
+      latest[s == kNoBody ? body_bits : s] = counted + 1;
+    }
+    while (window_start < i && times[window_start] <= t - window) {
+      ++window_start;
+    }
+    std::size_t found = 0;
+    for (std::size_t s = 0; s < body_bits; ++s) {
+      if (latest[s] > window_start) {
+        db.push_item(body_item(static_cast<SubcategoryId>(s)));
+        ++found;
       }
     }
-    for (; window_start < i && times[window_start] <= t - window;
-         ++window_start) {
-      const SubcategoryId s = bodies[window_start];
-      if (s != kNoBody && --counts[s] == 0) {
-        live.clear(s);
-      }
-    }
-    Transaction items = emit_bodies(live, 1);
-    if (items.empty()) {
+    if (found == 0) {
       ++local.without_precursors;
     } else {
       ++local.with_precursors;
     }
-    items.push_back(label_item(log[i].subcategory));
-    db.add_sorted(std::move(items));
+    db.push_item(label_item(log[i].subcategory));  // labels sort last
+    db.end_row();
   }
+  // bgl:hot-end
 
   // Negative windows: instants with no fatal event in the following
   // `window` seconds; their transactions are label-free.
@@ -173,6 +184,7 @@ TransactionDb extract_event_sets(const LogView& log, Duration window,
     const TimeIndex index(times);
     DynamicBitset seen(body_bits);
     std::size_t made = 0;
+    // bgl:hot-begin(rule-extract)
     for (std::size_t attempt = 0; attempt < wanted * 8 && made < wanted;
          ++attempt) {
       const TimePoint t =
@@ -190,7 +202,8 @@ TransactionDb extract_event_sets(const LogView& log, Duration window,
           seen.set(bodies[last]);
         }
       }
-      db.add_sorted(emit_bodies(seen, 0));  // label-free, possibly empty
+      push_bodies(seen, db);  // label-free, possibly empty
+      db.end_row();
       for (std::size_t j = first; j < last; ++j) {
         if (bodies[j] != kNoBody) {
           seen.clear(bodies[j]);
@@ -198,6 +211,7 @@ TransactionDb extract_event_sets(const LogView& log, Duration window,
       }
       ++made;
     }
+    // bgl:hot-end
   }
 
   if (stats != nullptr) {

@@ -14,9 +14,11 @@
 // measure the "no precursor" fraction the paper reports) but generate no
 // rules.
 //
-// Extraction is linear in the log: positive windows keep a sliding
-// per-subcategory count, and negative windows search a contiguous time
-// array; both emit each transaction already sorted.
+// Extraction is linear in the log: positive windows read each
+// subcategory's latest occurrence from a table every record updates once,
+// and negative windows search a contiguous time array; both write each
+// transaction straight into the database, already sorted, with no
+// per-window item vector.
 #pragma once
 
 #include "common/time.hpp"

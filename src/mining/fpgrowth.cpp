@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <memory>
+#include <span>
 #include <unordered_map>
 
 #include "common/check.hpp"
@@ -133,20 +134,19 @@ void mine(const FpTree& tree, std::size_t min_count,
   }
 }
 
-// Calls fn(transaction) for each transaction of `db` selected by `rows`
+// Calls fn(row items) for each transaction of `db` selected by `rows`
 // (all of them when `rows` is null), in database order.
 template <typename Fn>
 void for_each_row(const TransactionDb& db, const DynamicBitset* rows,
                   Fn&& fn) {
   if (rows == nullptr) {
-    for (const Transaction& t : db.transactions()) {
-      fn(t);
+    for (std::size_t r = 0; r < db.size(); ++r) {
+      fn(db.row(r));
     }
     return;
   }
   rows->for_each_set([&](std::size_t r) {
-    BGL_CHECK_RANGE(r, db.size());
-    fn(db.transactions()[r]);
+    fn(db.row(r));
     return false;
   });
 }
@@ -158,7 +158,7 @@ FrequentSet fpgrowth_rows(const TransactionDb& db, const DynamicBitset* rows,
                           std::size_t max_itemset_size) {
   // Global item frequencies.
   std::map<Item, std::size_t> singles;
-  for_each_row(db, rows, [&](const Transaction& t) {
+  for_each_row(db, rows, [&](std::span<const Item> t) {
     for (Item item : t) {
       if (!bodies_only || !is_label(item)) {
         ++singles[item];
@@ -187,7 +187,7 @@ FrequentSet fpgrowth_rows(const TransactionDb& db, const DynamicBitset* rows,
   // Build the global FP-tree (hidden items never reach `rank`).
   FpTree tree;
   std::vector<Item> kept;
-  for_each_row(db, rows, [&](const Transaction& t) {
+  for_each_row(db, rows, [&](std::span<const Item> t) {
     kept.clear();
     for (Item item : t) {
       if (rank.count(item) != 0) {

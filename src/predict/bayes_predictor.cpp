@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "common/check.hpp"
 #include "common/error.hpp"
@@ -32,7 +33,8 @@ void BayesPredictor::train(const LogView& training) {
       std::vector<double>(vocab, 0.0), std::vector<double>(vocab, 0.0)};
   std::array<double, 2> class_counts{0.0, 0.0};
 
-  for (const Transaction& t : db.transactions()) {
+  for (std::size_t r = 0; r < db.size(); ++r) {
+    const std::span<const Item> t = db.row(r);
     const bool positive =
         std::any_of(t.begin(), t.end(), [](Item i) { return is_label(i); });
     const std::size_t cls = positive ? 1 : 0;

@@ -119,10 +119,14 @@ RasLog ingest_classified(std::istream& is, const ReadOptions& read_options,
   // use-after-free analysis).
   IngestReport local_report;
   IngestReport& rep = report != nullptr ? *report : local_report;
+  // Parsed text has no id to reuse, but most records repeat the previous
+  // record's entry, and those skip the hash.
+  StringId previous = kInvalidStringId;
   ingest_records(is, read_options, rep,
-                 [&pipeline](const RasRecord& parsed, std::string_view entry) {
-                   // Parsed text has no id to reuse: one intern per record.
-                   pipeline.push(parsed, pipeline.pool().intern(entry));
+                 [&pipeline, &previous](const RasRecord& parsed,
+                                        std::string_view entry) {
+                   previous = pipeline.pool().intern_after(previous, entry);
+                   pipeline.push(parsed, previous);
                  });
   return pipeline.finish(stats);
 }

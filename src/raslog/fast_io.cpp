@@ -111,9 +111,14 @@ RasLog read_log_fast(std::istream& is, const ReadOptions& options,
   RasLog log;
   IngestReport local;
   IngestReport& rep = report != nullptr ? *report : local;
+  // Three in four records of a generated ANL log repeat the previous
+  // record's entry text; those skip the hash.
+  StringId previous = kInvalidStringId;
   ingest_records(is, options, rep,
-                 [&](const RasRecord& rec, std::string_view entry) {
-                   log.append_with_text(rec, entry);
+                 [&](RasRecord rec, std::string_view entry) {
+                   previous = log.pool().intern_after(previous, entry);
+                   rec.entry_data = previous;
+                   log.append(rec);
                  });
   return log;
 }

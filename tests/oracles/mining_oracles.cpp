@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <map>
+#include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -99,7 +101,7 @@ void count_subsets(const Itemset& items, std::size_t k,
 std::vector<FrequentItemset> brute_force_frequent(
     const TransactionDb& db, const MiningOptions& options) {
   std::map<Itemset, std::size_t> counts;
-  for (const Transaction& t : db.transactions()) {
+  for (const Transaction& t : rows_of(db)) {
     const std::size_t n = t.size();
     for (std::size_t mask = 1; mask < (std::size_t{1} << n); ++mask) {
       Itemset subset;
@@ -133,8 +135,9 @@ FrequentSet apriori_reference(const TransactionDb& db,
   const std::size_t min_count = db.min_count_for(options.min_support);
 
   // Pass 1: frequent single items, ascending.
+  const std::vector<Itemset> rows = rows_of(db);
   std::map<Item, std::size_t> singles;
-  for (const Transaction& t : db.transactions()) {
+  for (const Transaction& t : rows) {
     for (Item item : t) {
       ++singles[item];
     }
@@ -149,8 +152,8 @@ FrequentSet apriori_reference(const TransactionDb& db,
 
   // Restrict each transaction to its frequent items once.
   std::vector<Itemset> filtered;
-  filtered.reserve(db.size());
-  for (const Transaction& t : db.transactions()) {
+  filtered.reserve(rows.size());
+  for (const Transaction& t : rows) {
     Itemset keep;
     for (Item item : t) {
       if (singles.at(item) >= min_count) {
@@ -188,10 +191,65 @@ FrequentSet apriori_reference(const TransactionDb& db,
   return FrequentSet(std::move(result));
 }
 
+std::vector<Itemset> rows_of(const TransactionDb& db) {
+  std::vector<Itemset> rows;
+  rows.reserve(db.size());
+  for (std::size_t i = 0; i < db.size(); ++i) {
+    const std::span<const Item> row = db.row(i);
+    rows.emplace_back(row.begin(), row.end());
+  }
+  return rows;
+}
+
+ReferenceColumns reference_vertical_index(const TransactionDb& db) {
+  // Dense column slot for items inside the ItemBitset universe, or
+  // kNoItemBit.
+  const auto dense_slot = [](Item item) {
+    const std::size_t bit = item_bit(item);
+    if (bit == kNoItemBit) {
+      return kNoItemBit;
+    }
+    const Item round_trip = is_label(item) ? label_item(subcat_of(item))
+                                           : body_item(subcat_of(item));
+    return round_trip == item ? bit : kNoItemBit;
+  };
+  std::vector<std::pair<Item, DynamicBitset>> dense(ItemBitset::kBits);
+  std::map<Item, DynamicBitset> overflow;
+  for (std::size_t t = 0; t < db.size(); ++t) {
+    for (const Item item : db.row(t)) {
+      const std::size_t slot = dense_slot(item);
+      if (slot == kNoItemBit) {
+        overflow[item].set(t);
+      } else {
+        dense[slot].first = item;
+        dense[slot].second.set(t);
+      }
+    }
+  }
+  std::vector<std::pair<Item, DynamicBitset>> all;
+  for (auto& entry : dense) {
+    if (!entry.second.empty_words()) {
+      all.push_back(std::move(entry));
+    }
+  }
+  for (auto& [item, bits] : overflow) {
+    all.emplace_back(item, std::move(bits));
+  }
+  std::sort(all.begin(), all.end(), [](const auto& a, const auto& b) {
+    return a.first < b.first;
+  });
+  ReferenceColumns out;
+  for (auto& [item, bits] : all) {
+    out.items.push_back(item);
+    out.columns.push_back(std::move(bits));
+  }
+  return out;
+}
+
 std::size_t absolute_support_naive(const TransactionDb& db,
                                    const Itemset& items) {
   std::size_t count = 0;
-  for (const Transaction& t : db.transactions()) {
+  for (const Transaction& t : rows_of(db)) {
     if (is_subset(items, t)) {
       ++count;
     }

@@ -25,6 +25,19 @@ std::vector<FrequentItemset> brute_force_frequent(
 FrequentSet apriori_reference(const TransactionDb& db,
                               const MiningOptions& options);
 
+/// Every row of `db` as an itemset, in database order.
+std::vector<Itemset> rows_of(const TransactionDb& db);
+
+/// A vertical index built the two-pass way: every row of `db` is read
+/// back, catalog items into a flat slot array and anything else into a
+/// map, then the columns are sorted by item. The oracle for the columns
+/// TransactionDb maintains as rows are appended.
+struct ReferenceColumns {
+  std::vector<Item> items;  // ascending; parallel to columns
+  std::vector<DynamicBitset> columns;
+};
+ReferenceColumns reference_vertical_index(const TransactionDb& db);
+
 /// Absolute support by an is_subset scan over every transaction; the
 /// oracle for TransactionDb::absolute_support's vertical index.
 std::size_t absolute_support_naive(const TransactionDb& db,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <ostream>
+#include <span>
 #include <vector>
 
 #include "common/binary.hpp"
@@ -122,7 +123,8 @@ std::vector<Rule> mine_rules_per_label(const TransactionDb& db,
                                        MiningAlgorithm algorithm) {
   // Group transactions by their (single) label item.
   std::map<Item, std::vector<Transaction>> by_label;
-  for (const Transaction& t : db.transactions()) {
+  for (std::size_t r = 0; r < db.size(); ++r) {
+    const std::span<const Item> t = db.row(r);
     for (Item item : t) {
       if (is_label(item)) {
         // Strip the label; the per-class sub-database holds bodies only.
@@ -144,7 +146,10 @@ std::vector<Rule> mine_rules_per_label(const TransactionDb& db,
     if (bodies.size() < options.min_label_count) {
       continue;
     }
-    TransactionDb class_db{std::vector<Transaction>(bodies)};
+    TransactionDb class_db;
+    for (const Transaction& body : bodies) {
+      class_db.add_sorted(body);
+    }
     MiningOptions mining = options.mining;
     // Reserve one slot of the itemset budget for the label. mine_rules
     // rejects max_itemset_size == 0, so the subtract cannot wrap.

@@ -7,6 +7,8 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/bitset.hpp"
@@ -227,16 +229,108 @@ TEST(DifferentialTest, VerticalIndexSurvivesCopyAndMutation) {
   Rng rng(0xc0b1e5u);
   TransactionDb db = random_db(rng, 25, /*exotic=*/false);
   const Itemset query = {body_item(1), body_item(2)};
-  const std::size_t before = db.absolute_support(query);  // builds index
+  const std::size_t before = db.absolute_support(query);
   EXPECT_EQ(before, oracles::absolute_support_naive(db, query));
-  TransactionDb copy = db;  // copy drops the cached index
+  TransactionDb copy = db;  // the copy owns its own columns
   copy.add({body_item(1), body_item(2)});
   EXPECT_EQ(copy.absolute_support(query), before + 1);
   EXPECT_EQ(db.absolute_support(query), before);  // original unaffected
-  db.add({body_item(1), body_item(2), body_item(3)});  // invalidates index
+  db.add({body_item(1), body_item(2), body_item(3)});  // appends a bit
   EXPECT_EQ(db.absolute_support(query), before + 1);
   EXPECT_EQ(db.absolute_support(query),
             oracles::absolute_support_naive(db, query));
+}
+
+// A column's set bits, ascending.
+std::vector<std::size_t> set_bits(const DynamicBitset& bits) {
+  std::vector<std::size_t> out;
+  bits.for_each_set([&](std::size_t bit) {
+    out.push_back(bit);
+    return false;
+  });
+  return out;
+}
+
+// The columns maintained on append against the two-pass build from the
+// rows: same items, same bits, same width — and every column only as
+// wide as its last set bit.
+void expect_reference_columns(const TransactionDb& db) {
+  const VerticalIndex& index = db.vertical_index();
+  const oracles::ReferenceColumns ref = oracles::reference_vertical_index(db);
+  EXPECT_EQ(index.transaction_count(), db.size());
+  ASSERT_EQ(index.items(), ref.items);
+  ASSERT_EQ(index.columns().size(), ref.columns.size());
+  for (std::size_t i = 0; i < ref.columns.size(); ++i) {
+    const DynamicBitset& column = index.columns()[i];
+    const std::vector<std::size_t> bits = set_bits(column);
+    EXPECT_EQ(bits, set_bits(ref.columns[i])) << "item " << ref.items[i];
+    EXPECT_EQ(column.word_count(), ref.columns[i].word_count());
+    ASSERT_FALSE(bits.empty()) << "item " << ref.items[i];
+    EXPECT_EQ(column.word_count(), bits.back() / 64 + 1);
+    EXPECT_EQ(index.column(ref.items[i]), &column);
+  }
+}
+
+TEST(DifferentialTest, AppendedColumnsMatchTwoPassBuild) {
+  Rng rng(0xc01a3du);
+  for (int round = 0; round < 25; ++round) {
+    TransactionDb db;
+    const auto rows = static_cast<std::size_t>(rng.uniform_int(0, 300));
+    for (std::size_t r = 0; r < rows; ++r) {
+      Itemset items;
+      const auto subcat = [&] {
+        return static_cast<SubcategoryId>(rng.uniform_int(0, 11));
+      };
+      switch (rng.uniform_int(0, 5)) {
+        case 0:  // empty row (a negative window with no precursor)
+          break;
+        case 1:  // label-only row
+          items.push_back(label_item(subcat()));
+          break;
+        default:
+          for (std::int64_t k = rng.uniform_int(1, 6); k > 0; --k) {
+            switch (rng.uniform_int(0, 5)) {
+              case 0:
+                items.push_back(label_item(subcat()));
+                break;
+              case 1:  // past the ItemBitset universe: overflow items
+                items.push_back(rng.uniform_int(0, 1) == 0
+                                    ? body_item(static_cast<SubcategoryId>(
+                                          kItemBodyBits + subcat()))
+                                    : label_item(static_cast<SubcategoryId>(
+                                          kItemBodyBits + subcat())));
+                break;
+              case 2:  // encodes to a dense bit but does not round-trip
+                items.push_back(label_item(subcat()) + 0x10000);
+                break;
+              default:
+                items.push_back(body_item(subcat()));
+                break;
+            }
+          }
+          break;
+      }
+      if (rng.uniform_int(0, 1) == 0) {
+        db.add(items);
+      } else {
+        std::sort(items.begin(), items.end());
+        items.erase(std::unique(items.begin(), items.end()), items.end());
+        for (const Item item : items) {
+          db.push_item(item);
+        }
+        db.end_row();
+      }
+      // Query mid-build: later rows must still reach the columns.
+      if (rng.uniform_int(0, 24) == 0) {
+        const Itemset query = random_query(rng, /*exotic=*/true);
+        EXPECT_EQ(db.absolute_support(query),
+                  oracles::absolute_support_naive(db, query));
+        expect_reference_columns(db);
+      }
+    }
+    SCOPED_TRACE("round " + std::to_string(round));
+    expect_reference_columns(db);
+  }
 }
 
 TEST(DifferentialTest, AprioriMatchesReferenceAndFpGrowth) {

@@ -625,6 +625,47 @@ TEST(FusedIngestTest, ScrambledBatchSourceMatchesThreeStepPipeline) {
   }
 }
 
+// Runs of equal entries, with a line whose entry crosses the scanner's
+// first refill boundary repeating the entry of the line before it: the
+// readers skip the hash by comparing against the pooled copy, since the
+// refill slides the straddling line over the previous line's bytes.
+TEST(FusedIngestTest, RepeatedEntryAcrossRefillBoundary) {
+  constexpr std::size_t kBoundary = LineScanner::kDefaultChunkSize;
+  const std::string prefix = "2005-03-14 06:25:01|RAS|INFO|KERNEL|R00-M0|1|";
+  const std::string repeated = "repeated entry " + std::string(85, 'y');
+  std::string text;
+  for (std::size_t i = 0; text.size() < kBoundary - 1000; ++i) {
+    const std::size_t run = (i / 3) % 7;  // runs of three equal entries
+    text += prefix + "entry " + std::to_string(run) +
+            std::string(run * 9, 'x') + "\n";
+  }
+  // Pad so the first `repeated` line ends 95 bytes before the boundary:
+  // the second one then starts there and its entry spans the boundary.
+  const std::size_t repeated_line = prefix.size() + repeated.size() + 1;
+  const std::size_t pad =
+      kBoundary - 95 - repeated_line - text.size() - prefix.size() - 1;
+  text += prefix + std::string(pad, 'p') + "\n";
+  text += prefix + repeated + "\n";
+  ASSERT_EQ(text.size(), kBoundary - 95);
+  const std::size_t entry_begin = text.size() + prefix.size();
+  ASSERT_LT(entry_begin, kBoundary);
+  ASSERT_GT(entry_begin + repeated.size(), kBoundary);
+  text += prefix + repeated + "\n";
+  text += prefix + repeated + "\n";
+  text += prefix + "entry 3" + std::string(27, 'x') + "\n";
+  text += prefix + repeated + "\n";
+
+  expect_readers_agree(text, ReadOptions::strict());
+  expect_fused_matches_three_step(text, ReadOptions::strict());
+  std::stringstream in(text);
+  const RasLog log = read_log_fast(in);
+  const std::size_t n = log.size();
+  ASSERT_GE(n, 4u);
+  EXPECT_EQ(log.text_of(log.records()[n - 3]), repeated);
+  EXPECT_EQ(log.records()[n - 5].entry_data, log.records()[n - 1].entry_data);
+  EXPECT_EQ(log.pool().size(), 9u);  // 7 run entries, the pad, `repeated`
+}
+
 // ---- memoised classification -------------------------------------------
 
 void expect_same_classification(const ClassificationStats& want,

@@ -46,7 +46,7 @@ TEST(TransactionDbTest, AddSortsAndDedupes) {
   TransactionDb db;
   db.add({3, 1, 2, 1});
   ASSERT_EQ(db.size(), 1u);
-  EXPECT_EQ(db.transactions()[0], (Itemset{1, 2, 3}));
+  EXPECT_EQ(oracles::rows_of(db)[0], (Itemset{1, 2, 3}));
 }
 
 TEST(TransactionDbTest, AbsoluteSupport) {
@@ -383,8 +383,8 @@ TEST(EventSetTest, BuildsWindowedTransactions) {
       label_item(catalog().find("nodemapCreateFailure"))};
   Itemset sorted_expected = expected;
   std::sort(sorted_expected.begin(), sorted_expected.end());
-  EXPECT_EQ(db.transactions()[0], sorted_expected);
-  EXPECT_EQ(db.transactions()[1],
+  EXPECT_EQ(oracles::rows_of(db)[0], sorted_expected);
+  EXPECT_EQ(oracles::rows_of(db)[1],
             (Itemset{label_item(catalog().find("torusFailure"))}));
 }
 
@@ -395,7 +395,7 @@ TEST(EventSetTest, WindowBoundaryIsExclusive) {
   // Precursor exactly window seconds before: 700 - 600 = 100 -> excluded
   // (window is (t - W, t)).
   const TransactionDb db = extract_event_sets(log, 600, nullptr);
-  EXPECT_EQ(db.transactions()[0].size(), 1u);  // label only
+  EXPECT_EQ(db.row(0).size(), 1u);  // label only
 }
 
 TEST(EventSetTest, EarlierFatalEventsAreNotBodyItems) {
@@ -405,7 +405,7 @@ TEST(EventSetTest, EarlierFatalEventsAreNotBodyItems) {
   const TransactionDb db = extract_event_sets(log, 600, nullptr);
   ASSERT_EQ(db.size(), 2u);
   // The second transaction must not contain the first fatal event.
-  EXPECT_EQ(db.transactions()[1].size(), 1u);
+  EXPECT_EQ(db.row(1).size(), 1u);
 }
 
 TEST(EventSetTest, RequiresPositiveWindowAndSortedLog) {

@@ -22,6 +22,7 @@
 #include "mining/event_sets.hpp"
 #include "mining/fpgrowth.hpp"
 #include "mining/rules.hpp"
+#include "oracles/mining_oracles.hpp"
 #include "oracles/rule_training_oracle.hpp"
 #include "predict/rule_predictor.hpp"
 #include "predict/statistical_predictor.hpp"
@@ -60,7 +61,7 @@ void expect_same_training(const LogView& log, Duration window,
   const TransactionDb ref = oracles::reference_extract_event_sets(
       log, window, &ref_stats, negative_ratio);
   expect_same_stats(stats, ref_stats);
-  ASSERT_EQ(db.transactions(), ref.transactions());
+  ASSERT_EQ(oracles::rows_of(db), oracles::rows_of(ref));
   for (const MiningAlgorithm algorithm :
        {MiningAlgorithm::kApriori, MiningAlgorithm::kFpGrowth}) {
     EXPECT_EQ(rule_bytes(mine_rules(db, options, algorithm)),
@@ -182,7 +183,7 @@ TEST(RuleTrainingEdgeTest, RecordExactlyAtWindowStartIsExcluded) {
                              record(700, 9, true)});
   const TransactionDb db = extract_event_sets(log, 600, nullptr);
   ASSERT_EQ(db.size(), 1u);
-  EXPECT_EQ(db.transactions()[0], (Itemset{body_item(4), label_item(9)}));
+  EXPECT_EQ(oracles::rows_of(db)[0], (Itemset{body_item(4), label_item(9)}));
   expect_same_training(log, 600, 0.0, RuleOptions{});
 }
 
@@ -193,8 +194,8 @@ TEST(RuleTrainingEdgeTest, SameSecondRecordsFollowLogOrder) {
                              record(500, 4, false), record(900, 8, true)});
   const TransactionDb db = extract_event_sets(log, 600, nullptr);
   ASSERT_EQ(db.size(), 2u);
-  EXPECT_EQ(db.transactions()[0], (Itemset{body_item(3), label_item(9)}));
-  EXPECT_EQ(db.transactions()[1],
+  EXPECT_EQ(oracles::rows_of(db)[0], (Itemset{body_item(3), label_item(9)}));
+  EXPECT_EQ(oracles::rows_of(db)[1],
             (Itemset{body_item(3), body_item(4), label_item(8)}));
   expect_same_training(log, 600, 0.0, RuleOptions{});
   expect_same_training(log, 600, 4.0, RuleOptions{});
@@ -210,13 +211,13 @@ TEST(RuleTrainingEdgeTest, OverlappingWindowsSlideCounts) {
   EventSetStats stats;
   const TransactionDb db = extract_event_sets(log, 100, &stats);
   ASSERT_EQ(db.size(), 4u);
-  EXPECT_EQ(db.transactions()[0],
+  EXPECT_EQ(oracles::rows_of(db)[0],
             (Itemset{body_item(1), body_item(2), label_item(20)}));
-  EXPECT_EQ(db.transactions()[1],
+  EXPECT_EQ(oracles::rows_of(db)[1],
             (Itemset{body_item(1), body_item(3), label_item(21)}));
-  EXPECT_EQ(db.transactions()[2],
+  EXPECT_EQ(oracles::rows_of(db)[2],
             (Itemset{body_item(2), body_item(3), label_item(22)}));
-  EXPECT_EQ(db.transactions()[3], (Itemset{label_item(23)}));
+  EXPECT_EQ(oracles::rows_of(db)[3], (Itemset{label_item(23)}));
   EXPECT_EQ(stats.with_precursors, 3u);
   EXPECT_EQ(stats.without_precursors, 1u);
   expect_same_training(log, 100, 0.0, RuleOptions{});
@@ -239,7 +240,7 @@ TEST(RuleTrainingEdgeTest, UnclassifiedAndOutOfUniverseItems) {
   const RasLog log = log_of(records);
   const TransactionDb db = extract_event_sets(log, 50, nullptr);
   ASSERT_EQ(db.size(), 40u);
-  EXPECT_EQ(db.transactions()[0],
+  EXPECT_EQ(oracles::rows_of(db)[0],
             (Itemset{body_item(7), body_item(far), label_item(far)}));
   RuleOptions options;
   options.min_label_count = 1;
@@ -374,7 +375,7 @@ TEST(RuleTrainingEdgeTest, MaskedMinersMatchMaterializedSubDatabase) {
       if (rng.uniform_int(0, 2) != 0) {
         rows.set(i);
         Transaction body;
-        for (const Item item : db.transactions().back()) {
+        for (const Item item : db.row(db.size() - 1)) {
           if (!is_label(item)) {
             body.push_back(item);
           }
@@ -382,7 +383,10 @@ TEST(RuleTrainingEdgeTest, MaskedMinersMatchMaterializedSubDatabase) {
         selected.push_back(std::move(body));
       }
     }
-    const TransactionDb sub(selected);
+    TransactionDb sub;
+    for (const Transaction& body : selected) {
+      sub.add(body);
+    }
     const auto min_count = static_cast<std::size_t>(rng.uniform_int(1, 6));
     MiningOptions options;
     options.max_itemset_size = static_cast<std::size_t>(rng.uniform_int(1, 4));

@@ -120,6 +120,9 @@ REQUIRED_HOT_FILES = (
     "src/simgen/stream.cpp",
     "src/logstore/cursor.cpp",
     "src/mining/rules.cpp",
+    "src/mining/event_sets.cpp",
+    "src/mining/transaction.cpp",
+    "src/mining/transaction.hpp",
     "src/preprocess/fused_ingest.cpp",
     "src/taxonomy/classifier.cpp",
     "src/core/online.cpp",
@@ -170,10 +173,12 @@ RE_HOT_STREAM = re.compile(r"\bstd\s*::\s*[io]?stringstream\b")
 RE_HOT_THROW = re.compile(r"(?<![_\w])throw\b")
 # A container/string parameter passed by value: the type name followed by
 # an identifier and a ',' or ')' — references, pointers, and local
-# declarations (which end in ';' or '=' or '{') do not match.
+# declarations (which end in ';' or '=' or '{') do not match. Itemset and
+# Transaction are the mining layer's aliases for std::vector<Item>.
 RE_HOT_BYVALUE = re.compile(
-    r"\bstd\s*::\s*(?:string|vector|deque|map|unordered_map|set|"
-    r"unordered_set)\s*(?:<[^<>;=]*(?:<[^<>;=]*>)?[^<>;=]*>)?\s+\w+\s*[,)]")
+    r"(?:\bstd\s*::\s*(?:string|vector|deque|map|unordered_map|set|"
+    r"unordered_set)\s*(?:<[^<>;=]*(?:<[^<>;=]*>)?[^<>;=]*>)?|"
+    r"\b(?:Itemset|Transaction))\s+\w+\s*[,)]")
 
 RE_FANALYZER = re.compile(
     r"^(?P<path>[^:\s][^:]*):(?P<line>\d+):(?:\d+:)?\s+warning:.*"
