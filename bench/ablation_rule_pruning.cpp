@@ -35,8 +35,8 @@ int main(int argc, char** argv) {
       // Verify best_match confidence is preserved over every rule body.
       bool preserved = true;
       for (const Rule& r : full.rules()) {
-        const Rule* a = full.best_match(r.body);
-        const Rule* b = pruned.best_match(r.body);
+        const Rule* a = full.best_match(encode_bitset(r.body));
+        const Rule* b = pruned.best_match(encode_bitset(r.body));
         if (a == nullptr || b == nullptr ||
             std::abs(a->confidence - b->confidence) > 1e-9) {
           preserved = false;

@@ -15,7 +15,10 @@
 // which are the bulk of the transactions. BM_RuleTrainFold times one
 // RulePredictor::train on a full-scale ANL and SDSC cross-validation
 // fold, the unit of work the Figure 4/5 grid repeats 600 times per log
-// pair.
+// pair; BM_MineRulesFold times its mining half alone (mine_rules on the
+// fold's pre-extracted event sets), and BM_ReplayFold one trained
+// predictor observing the fold's test records, the replay every fold
+// evaluation runs.
 
 #include <benchmark/benchmark.h>
 
@@ -39,7 +42,7 @@ void BM_RuleGeneration(benchmark::State& state) {
   for (auto _ : state) {
     const TransactionDb db = extract_event_sets(
         prepared.log, window, nullptr, options.negative_ratio);
-    const RuleSet set = mine_rules(db, options.rules, options.algorithm);
+    const RuleSet set = mine_rules(db, options.rules);
     rules = set.size();
     benchmark::DoNotOptimize(rules);
   }
@@ -82,6 +85,50 @@ void BM_RuleTrainFold(benchmark::State& state, const char* profile) {
   state.counters["training_records"] = static_cast<double>(training.size());
 }
 
+// mine_rules on the event-set database of the same full-scale fold as
+// BM_RuleTrainFold, extracted once outside the timed loop.
+void BM_MineRulesFold(benchmark::State& state, const char* profile) {
+  const PreparedLog& prepared = prepared_log(profile, 1.0);
+  const RasLog& log = prepared.log;
+  const LogView training = LogView::excluding(log, 0, log.size() / 10);
+  const ThreePhaseOptions options = paper_options(profile, 30 * kMinute);
+  const TransactionDb db =
+      extract_event_sets(training, options.rule.rule_generation_window,
+                         nullptr, options.rule.negative_ratio);
+  std::size_t rules = 0;
+  for (auto _ : state) {
+    const RuleSet set = mine_rules(db, options.rule.rules);
+    rules = set.size();
+    benchmark::DoNotOptimize(rules);
+  }
+  state.counters["rules"] = static_cast<double>(rules);
+  state.counters["event_sets"] = static_cast<double>(db.size());
+}
+
+// One trained predictor (the BM_RuleTrainFold fold, 30-minute prediction
+// window) replaying its full-scale test fold: reset, then observe every
+// test record, as a fold evaluation does.
+void BM_ReplayFold(benchmark::State& state, const char* profile) {
+  const PreparedLog& prepared = prepared_log(profile, 1.0);
+  const RasLog& log = prepared.log;
+  const std::size_t fold_end = log.size() / 10;
+  const ThreePhaseOptions options = paper_options(profile, 30 * kMinute);
+  RulePredictor predictor(options.prediction, options.rule);
+  predictor.train(LogView::excluding(log, 0, fold_end));
+  std::size_t warnings = 0;
+  for (auto _ : state) {
+    predictor.reset();
+    warnings = 0;
+    for (std::size_t i = 0; i < fold_end; ++i) {
+      warnings += predictor.observe(log.records()[i]).has_value();
+    }
+    benchmark::DoNotOptimize(warnings);
+  }
+  state.counters["warnings"] = static_cast<double>(warnings);
+  state.counters["test_records"] = static_cast<double>(fold_end);
+  state.counters["rules"] = static_cast<double>(predictor.rules().size());
+}
+
 void BM_RuleMatching(benchmark::State& state) {
   const PreparedLog& prepared = prepared_log("ANL", kScale);
   PredictionConfig config;
@@ -119,6 +166,12 @@ BENCHMARK(BM_EventSetExtraction)
 BENCHMARK_CAPTURE(BM_RuleTrainFold, ANL, "ANL")
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_RuleTrainFold, SDSC, "SDSC")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_MineRulesFold, ANL, "ANL")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_MineRulesFold, SDSC, "SDSC")
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_ReplayFold, ANL, "ANL")
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_RuleMatching)->Unit(benchmark::kMicrosecond);
 

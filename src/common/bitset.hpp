@@ -8,10 +8,9 @@
 // sorted vectors.
 //
 // DynamicBitset is the runtime-width companion used for vertical
-// transaction indexes (item -> bitset over transaction ids) and for rule
-// candidate masks (item -> bitset over rule indices), where the width is
-// only known once the database or rule set exists. An empty bitset acts
-// as all-zeros of any width, so sparse column arrays stay cheap.
+// transaction indexes (item -> bitset over transaction ids), where the
+// width is only known once the database exists. An empty bitset acts as
+// all-zeros of any width, so sparse column arrays stay cheap.
 #pragma once
 
 #include <bit>
@@ -92,6 +91,17 @@ class ItemBitset {
     }
   }
 
+  /// Word `i` of the set (bits [64 i, 64 i + 64)).
+  std::uint64_t word(std::size_t i) const { return words_[i]; }
+
+  friend ItemBitset operator&(const ItemBitset& a, const ItemBitset& b) {
+    ItemBitset out;
+    for (std::size_t i = 0; i < kWords; ++i) {
+      out.words_[i] = a.words_[i] & b.words_[i];
+    }
+    return out;
+  }
+
   friend bool operator==(const ItemBitset& a, const ItemBitset& b) {
     for (std::size_t i = 0; i < kWords; ++i) {
       if (a.words_[i] != b.words_[i]) {
@@ -118,6 +128,8 @@ class DynamicBitset {
 
   bool empty_words() const { return words_.empty(); }
   std::size_t word_count() const { return words_.size(); }
+  /// The word_count() words, lowest bits first.
+  const std::uint64_t* words() const { return words_.data(); }
 
   void set(std::size_t bit) {
     const std::size_t word = bit / 64;
@@ -185,14 +197,6 @@ class DynamicBitset {
     }
     for (std::size_t i = n; i < words_.size(); ++i) {
       words_[i] = 0;
-    }
-  }
-
-  /// this &= ~other.
-  void and_not_with(const DynamicBitset& other) {
-    const std::size_t n = std::min(words_.size(), other.words_.size());
-    for (std::size_t i = 0; i < n; ++i) {
-      words_[i] &= ~other.words_[i];
     }
   }
 

@@ -6,23 +6,18 @@
 #include "common/bitset.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "mining/items.hpp"
 
 namespace bglpred {
 namespace {
 
-// Marks records that contribute no body item (fatal or unclassified).
-constexpr SubcategoryId kNoBody = kUnclassified;
-
-// bgl:hot-begin(rule-extract)
-// Appends the set bits of `live` (subcategory ids, ascending) to the
-// open row of `db` as body items, straight from the bitset.
-void push_bodies(const DynamicBitset& live, TransactionDb& db) {
-  live.for_each_set([&](std::size_t subcat) {
-    db.push_item(body_item(static_cast<SubcategoryId>(subcat)));
-    return false;
-  });
-}
-// bgl:hot-end
+// Records that contribute no body item (fatal or unclassified) carry
+// this spare body bit: the catalog never reaches it (items.cpp
+// static_asserts the catalog fits below it), so the window loops set it
+// without a branch per record and clear it once per window.
+constexpr std::size_t kNoBody = kItemBodyBits - 1;
+static_assert(kExpectedSubcategories <= kNoBody,
+              "the spare body bit must lie past the catalog");
 
 // Lower-bound search over a sorted time array through a bucket table:
 // the span is cut into at most one bucket per record, and a bucket stores
@@ -93,34 +88,43 @@ TransactionDb extract_event_sets(const LogView& log, Duration window,
   BGL_REQUIRE(window > 0, "rule generation window must be positive");
   // One pass over the view into contiguous arrays: record times (the
   // negative windows binary-search these rather than 40-byte records
-  // behind the view's segment branch), each record's body subcategory
-  // (kNoBody for fatal and unclassified records), and the fatal records'
-  // positions.
+  // behind the view's segment branch), each record's body bit (kNoBody
+  // for fatal and unclassified records), and the fatal records'
+  // positions. Subcategories are checked against the catalog here, so
+  // the window loops below only ever see items inside the universe.
   const std::size_t n = log.size();
   std::vector<TimePoint> times(n);
-  std::vector<SubcategoryId> bodies(n);
+  std::vector<std::uint8_t> bodies(n);
   std::vector<std::size_t> fatals;
-  std::size_t body_bits = 0;  // one past the largest body subcategory
   bool sorted = true;
   bool unlabeled_fatal = false;
+  bool out_of_universe = false;
+  Item outside = 0;  // an item of a subcategory past the catalog
   for (std::size_t i = 0; i < n; ++i) {
     const RasRecord& rec = log[i];
     times[i] = rec.time;
     sorted = sorted && (i == 0 || times[i - 1] <= rec.time);
+    const bool classified = rec.subcategory != kUnclassified;
+    if (classified && !in_catalog(rec.subcategory)) {
+      out_of_universe = true;
+      outside = rec.fatal() ? label_item(rec.subcategory)
+                            : body_item(rec.subcategory);
+    }
     if (rec.fatal()) {
       fatals.push_back(i);
-      unlabeled_fatal = unlabeled_fatal || rec.subcategory == kUnclassified;
+      unlabeled_fatal = unlabeled_fatal || !classified;
       bodies[i] = kNoBody;
     } else {
-      bodies[i] = rec.subcategory;
-      if (rec.subcategory != kNoBody) {
-        body_bits = std::max<std::size_t>(body_bits, rec.subcategory + 1u);
-      }
+      bodies[i] = static_cast<std::uint8_t>(
+          in_catalog(rec.subcategory) ? rec.subcategory : kNoBody);
     }
   }
   BGL_REQUIRE(sorted, "log must be time-sorted");
   BGL_REQUIRE(!unlabeled_fatal,
               "fatal record lacks a subcategory; run preprocess first");
+  if (out_of_universe) {
+    throw ItemOutOfUniverse(outside);
+  }
 
   EventSetStats local;
   local.fatal_events = fatals.size();
@@ -134,39 +138,29 @@ TransactionDb extract_event_sets(const LogView& log, Duration window,
   db.reserve(fatals.size() + wanted);
 
   // Positive windows: fatal record i's body is every subcategory seen in
-  // records [window_start, i), that is every subcategory whose latest
-  // occurrence before i lies at or after window_start. Each record enters
-  // once, storing its index + 1 as its subcategory's latest (records with
-  // no body write a spare slot, so the loop does not branch on them); a
-  // window then reads the body off that table in ascending order, which
-  // costs O(body_bits): the catalog's 101 subcategories on real logs.
-  std::vector<std::size_t> latest(body_bits + 1, 0);
-  std::size_t counted = 0;       // records [0, counted) have entered
+  // records [window_start, i). A window sets its records' body bits in an
+  // ItemBitset and appends them, ascending, as one row: the cost is the
+  // window's own records (about ten on the calibrated logs), not the
+  // catalog's width.
   std::size_t window_start = 0;  // first index with time > t - window
   // bgl:hot-begin(rule-extract)
   for (const std::size_t i : fatals) {
     const TimePoint t = times[i];
-    for (; counted < i; ++counted) {
-      const SubcategoryId s = bodies[counted];
-      latest[s == kNoBody ? body_bits : s] = counted + 1;
-    }
     while (window_start < i && times[window_start] <= t - window) {
       ++window_start;
     }
-    std::size_t found = 0;
-    for (std::size_t s = 0; s < body_bits; ++s) {
-      if (latest[s] > window_start) {
-        db.push_item(body_item(static_cast<SubcategoryId>(s)));
-        ++found;
-      }
+    ItemBitset row;
+    for (std::size_t j = window_start; j < i; ++j) {
+      row.set(bodies[j]);
     }
-    if (found == 0) {
-      ++local.without_precursors;
-    } else {
+    row.clear(kNoBody);
+    if (row.any()) {
       ++local.with_precursors;
+    } else {
+      ++local.without_precursors;
     }
-    db.push_item(label_item(log[i].subcategory));  // labels sort last
-    db.end_row();
+    row.set(item_bit(label_item(log[i].subcategory)));
+    db.add_row(row);
   }
   // bgl:hot-end
 
@@ -182,7 +176,6 @@ TransactionDb extract_event_sets(const LogView& log, Duration window,
     Rng rng(seed ^ (n * 0x9e3779b97f4a7c15ULL));
     const TimeIndex fatal_index(fatal_times);
     const TimeIndex index(times);
-    DynamicBitset seen(body_bits);
     std::size_t made = 0;
     // bgl:hot-begin(rule-extract)
     for (std::size_t attempt = 0; attempt < wanted * 8 && made < wanted;
@@ -195,20 +188,13 @@ TransactionDb extract_event_sets(const LogView& log, Duration window,
         continue;
       }
       // Body subcategories of the records in (t - window, t].
-      const std::size_t first = index.lower_bound(t - window + 1);
-      std::size_t last = first;
-      for (; last < n && times[last] <= t; ++last) {
-        if (bodies[last] != kNoBody) {
-          seen.set(bodies[last]);
-        }
+      ItemBitset row;
+      for (std::size_t j = index.lower_bound(t - window + 1);
+           j < n && times[j] <= t; ++j) {
+        row.set(bodies[j]);
       }
-      push_bodies(seen, db);  // label-free, possibly empty
-      db.end_row();
-      for (std::size_t j = first; j < last; ++j) {
-        if (bodies[j] != kNoBody) {
-          seen.clear(bodies[j]);
-        }
-      }
+      row.clear(kNoBody);
+      db.add_row(row);  // label-free, possibly empty
       ++made;
     }
     // bgl:hot-end

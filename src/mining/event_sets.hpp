@@ -8,17 +8,19 @@
 // record stamped in f's own second that sorts before f (RecordTimeOrder
 // breaks same-second ties by location, severity and entry data). A
 // same-second record sorting after f is not in f's window, and a record
-// exactly at t_f - W never is. Unclassified records contribute nothing.
+// exactly at t_f - W never is. Unclassified records contribute nothing,
+// and a subcategory outside the catalog throws ItemOutOfUniverse before
+// any window is built.
 // Fatal events with no precursors yield label-only transactions; they
 // stay in the database (they contribute to the support denominator and
 // measure the "no precursor" fraction the paper reports) but generate no
 // rules.
 //
-// Extraction is linear in the log: positive windows read each
-// subcategory's latest occurrence from a table every record updates once,
-// and negative windows search a contiguous time array; both write each
-// transaction straight into the database, already sorted, with no
-// per-window item vector.
+// Extraction costs each window its own records: a window sets its
+// records' body bits in a fixed-width ItemBitset and appends them,
+// already sorted, as one row of the database, with no per-window item
+// vector. Negative windows find their first record through a bucketed
+// search over a contiguous time array.
 #pragma once
 
 #include "common/time.hpp"

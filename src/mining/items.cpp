@@ -1,5 +1,7 @@
 #include "mining/items.hpp"
 
+#include <string>
+
 #include "taxonomy/catalog.hpp"
 
 namespace bglpred {
@@ -25,17 +27,43 @@ static_assert(kExpectedSubcategories <= kItemBodyBits,
               "taxonomy catalog exceeds the ItemBitset body slot; widen "
               "ItemBitset::kBits in common/bitset.hpp");
 
-bool try_encode_bitset(const Itemset& items, ItemBitset* out) {
+ItemOutOfUniverse::ItemOutOfUniverse(Item item)
+    : InvalidArgument("item " + std::to_string(item) +
+                      " is outside the catalog item universe"),
+      item_(item) {}
+
+void require_in_universe(Item item) {
+  if (!in_universe(item)) {
+    throw ItemOutOfUniverse(item);
+  }
+}
+
+const ItemBitset& universe_bits() {
+  static const ItemBitset bits = [] {
+    ItemBitset out;
+    for (std::size_t s = 0; s < kExpectedSubcategories; ++s) {
+      out.set(item_bit(body_item(static_cast<SubcategoryId>(s))));
+      out.set(item_bit(label_item(static_cast<SubcategoryId>(s))));
+    }
+    return out;
+  }();
+  return bits;
+}
+
+ItemBitset encode_bitset(std::span<const Item> items) {
   ItemBitset bits;
   for (const Item item : items) {
-    const std::size_t bit = item_bit(item);
-    if (bit == kNoItemBit) {
-      return false;
-    }
-    bits.set(bit);
+    require_in_universe(item);
+    bits.set(item_bit(item));
   }
-  *out = bits;
-  return true;
+  return bits;
+}
+
+Itemset decode_bitset(const ItemBitset& bits) {
+  Itemset items;
+  items.reserve(bits.count());
+  bits.for_each_set([&](std::size_t bit) { items.push_back(bit_item(bit)); });
+  return items;
 }
 
 std::string itemset_to_string(const Itemset& items) {

@@ -10,11 +10,14 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/bitset.hpp"
+#include "common/error.hpp"
 #include "raslog/record.hpp"
+#include "taxonomy/catalog.hpp"
 
 namespace bglpred {
 
@@ -43,32 +46,64 @@ bool is_subset(const Itemset& needle, const Itemset& haystack);
 /// Renders an itemset using catalog names, labels suffixed with '!'.
 std::string itemset_to_string(const Itemset& items);
 
-// ---- dense bitset encoding (the mining fast paths) ----------------------
+// ---- the closed item universe ------------------------------------------
 //
-// ItemBitset (common/bitset.hpp) splits its 256 bits into two slots:
-// body items occupy bits [0, kItemBodyBits), label items bits
-// [kItemBodyBits, 2 * kItemBodyBits). The taxonomy catalog (101
-// subcategories) fits with headroom; items.cpp static_asserts that the
-// catalog can never outgrow the slot, so a Table-3 extension that crosses
-// the width fails the build instead of silently corrupting supports.
-// Items outside the universe (possible in synthetic tests) map to
-// kNoItemBit and the callers fall back to the naive sorted-vector paths.
+// Every item names a catalog subcategory: body items are subcategories
+// [0, kExpectedSubcategories), label items the same ids offset by
+// kLabelBase. ItemBitset (common/bitset.hpp) splits its 256 bits into
+// two slots, body items in bits [0, kItemBodyBits) and label items in
+// bits [kItemBodyBits, 2 * kItemBodyBits); items.cpp static_asserts that
+// the catalog fits the slot, so a Table-3 extension that crosses the
+// width fails the build. Items are checked once, where they enter mining
+// (extraction, TransactionDb appends, RuleSet construction); past that
+// boundary every item has a bit and no path handles anything else.
 
 inline constexpr std::size_t kItemBodyBits = ItemBitset::kBits / 2;
-inline constexpr std::size_t kNoItemBit = ~std::size_t{0};
 
-/// Dense bit index of an item, or kNoItemBit if it falls outside the
-/// fixed universe.
-constexpr std::size_t item_bit(Item item) {
-  const SubcategoryId subcat = subcat_of(item);
-  if (subcat >= kItemBodyBits) {
-    return kNoItemBit;
-  }
-  return is_label(item) ? kItemBodyBits + subcat : subcat;
+/// Thrown when an item or subcategory outside the catalog reaches mining.
+class ItemOutOfUniverse : public InvalidArgument {
+ public:
+  explicit ItemOutOfUniverse(Item item);
+  Item item() const { return item_; }
+
+ private:
+  Item item_;
+};
+
+/// True if `subcat` is a catalog subcategory (kUnclassified is not).
+constexpr bool in_catalog(SubcategoryId subcat) {
+  return subcat < kExpectedSubcategories;
 }
 
-/// Encodes a (sorted, distinct) itemset. Returns false — leaving `out`
-/// unspecified — if any item falls outside the fixed universe.
-bool try_encode_bitset(const Itemset& items, ItemBitset* out);
+/// True if `item` is a body or label item of a catalog subcategory.
+constexpr bool in_universe(Item item) {
+  return item < kLabelBase ? item < kExpectedSubcategories
+                           : item - kLabelBase < kExpectedSubcategories;
+}
+
+/// Throws ItemOutOfUniverse unless in_universe(item).
+void require_in_universe(Item item);
+
+/// Dense bit index of an item inside the universe.
+constexpr std::size_t item_bit(Item item) {
+  return is_label(item) ? kItemBodyBits + (item - kLabelBase) : item;
+}
+
+/// The item whose dense bit is `bit` (the inverse of item_bit).
+constexpr Item bit_item(std::size_t bit) {
+  return bit < kItemBodyBits
+             ? body_item(static_cast<SubcategoryId>(bit))
+             : label_item(static_cast<SubcategoryId>(bit - kItemBodyBits));
+}
+
+/// The bits of every item in the universe.
+const ItemBitset& universe_bits();
+
+/// Encodes a set of items; throws ItemOutOfUniverse for an item outside
+/// the universe.
+ItemBitset encode_bitset(std::span<const Item> items);
+
+/// The items of `bits`, ascending (the inverse of encode_bitset).
+Itemset decode_bitset(const ItemBitset& bits);
 
 }  // namespace bglpred

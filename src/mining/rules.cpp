@@ -1,14 +1,17 @@
 #include "mining/rules.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <map>
+#include <numeric>
+#include <span>
 
 #include "common/binary.hpp"
 #include "common/check.hpp"
 #include "common/error.hpp"
 #include "common/table.hpp"
 #include "mining/apriori.hpp"
-#include "mining/fpgrowth.hpp"
 #include "taxonomy/catalog.hpp"
 
 namespace bglpred {
@@ -42,72 +45,58 @@ RuleSet::RuleSet(std::vector<Rule> rules) : rules_(std::move(rules)) {
     }
     return a.body < b.body;
   });
-  // Matching index over the confidence order. Bodies that cannot be
-  // encoded (items outside the fixed universe) and empty bodies (match
-  // everything) go to the always-checked mask instead.
-  bodies_.resize(rules_.size());
-  rules_by_item_.resize(ItemBitset::kBits);
-  for (std::size_t r = 0; r < rules_.size(); ++r) {
-    ItemBitset bits;
-    if (rules_[r].body.empty() ||
-        !try_encode_bitset(rules_[r].body, &bits)) {
-      always_check_.set(r);
+  // Matching index over the confidence order. Encoding checks every body
+  // item against the universe, so matching never meets one outside it.
+  const std::size_t n = rules_.size();
+  mask_words_ = (n + 63) / 64;
+  bodies_.resize(n);
+  rules_by_item_.assign((ItemBitset::kBits + 1) * mask_words_, 0);
+  for (std::size_t r = 0; r < n; ++r) {
+    bodies_[r] = encode_bitset(rules_[r].body);
+    const std::uint64_t bit = std::uint64_t{1} << (r % 64);
+    if (!bodies_[r].any()) {
+      rules_by_item_[ItemBitset::kBits * mask_words_ + r / 64] |= bit;
       continue;
     }
-    bodies_[r] = bits;
-    bits.for_each_set(
-        [&](std::size_t bit) { rules_by_item_[bit].set(r); });
+    bodies_[r].for_each_set([&](std::size_t item) {
+      rules_by_item_[item * mask_words_ + r / 64] |= bit;
+      indexed_.set(item);
+    });
   }
 }
 
 // bgl:hot-begin(rule-matcher)
-// Matching runs once per forwarded record in the online engine; the
-// ~4500x over the naive scan (DESIGN §6) only holds while this stays
-// bitset-AND + popcount (the candidate copy is a handful of words, and
-// empty for rule sets with no always-checked bodies).
-const Rule* RuleSet::match_candidates(const ItemBitset& observed,
-                                      const Itemset* observed_items) const {
-  // Candidates: rules sharing at least one item with the observed set
-  // (any matching non-empty body must), plus the always-checked rules.
-  DynamicBitset candidates = always_check_;
-  observed.for_each_set([&](std::size_t bit) {
-    candidates.or_with(rules_by_item_[bit]);
+// Matching runs once per forwarded record in the online engine, so it
+// stays word ops over the flat index: the rows of the observed items are
+// gathered on the stack, and each word of candidate rules is their OR
+// (plus the empty-body row), walked in confidence order.
+const Rule* RuleSet::best_match(const ItemBitset& observed) const {
+  if (rules_.empty()) {
+    return nullptr;
+  }
+  std::array<const std::uint64_t*, ItemBitset::kBits + 1> rows;
+  std::size_t live = 0;
+  rows[live++] = &rules_by_item_[ItemBitset::kBits * mask_words_];
+  (observed & indexed_).for_each_set([&](std::size_t bit) {
+    rows[live++] = &rules_by_item_[bit * mask_words_];
   });
-  // Rule indices ascend in confidence order, so the first subset hit is
-  // the best match.
-  const Rule* found = nullptr;
-  candidates.for_each_set([&](std::size_t r) {
-    if (always_check_.test(r)) {
-      const bool hit = observed_items != nullptr
-                           ? is_subset(rules_[r].body, *observed_items)
-                           : rules_[r].body.empty();
-      if (!hit) {
-        return false;
-      }
-    } else if (!bodies_[r].is_subset_of(observed)) {
-      return false;
+  for (std::size_t w = 0; w < mask_words_; ++w) {
+    std::uint64_t candidates = 0;
+    for (std::size_t i = 0; i < live; ++i) {
+      candidates |= rows[i][w];
     }
-    found = &rules_[r];
-    return true;
-  });
-  return found;
-}
-
-const Rule* RuleSet::best_match(const Itemset& observed) const {
-  ItemBitset bits;
-  for (const Item item : observed) {
-    const std::size_t bit = item_bit(item);
-    if (bit != kNoItemBit) {
-      bits.set(bit);
+    // Rule indices ascend in confidence order, so the first subset hit is
+    // the best match.
+    while (candidates != 0) {
+      const std::size_t r =
+          w * 64 + static_cast<std::size_t>(std::countr_zero(candidates));
+      if (bodies_[r].is_subset_of(observed)) {
+        return &rules_[r];
+      }
+      candidates &= candidates - 1;
     }
   }
-  // Unencodable observed items only matter to always-checked rules, which
-  // get the full itemset for their naive subset test.
-  return match_candidates(bits, &observed);
-}
-
-const Rule* RuleSet::best_match(const ItemBitset& observed) const {
-  return match_candidates(observed, nullptr);
+  return nullptr;
 }
 // bgl:hot-end
 
@@ -187,10 +176,99 @@ std::vector<Rule> combine_rules(std::vector<Rule> rules) {
 
 namespace {
 
-FrequentSet run_miner(const TransactionDb& db, const MiningOptions& options,
-                      MiningAlgorithm algorithm) {
-  return algorithm == MiningAlgorithm::kApriori ? apriori(db, options)
-                                                : fpgrowth(db, options);
+// Exact body supports for one training database, each distinct body
+// counted once: an open-addressing table from body bits to the body's
+// absolute support. A body whose count was cut short (it provably fails
+// the confidence bar) is never stored.
+class SupportMemo {
+ public:
+  const std::size_t* find(const ItemBitset& body) const {
+    if (slots_.empty()) {
+      return nullptr;
+    }
+    for (std::size_t i = hash(body) & mask();; i = (i + 1) & mask()) {
+      const Slot& slot = slots_[i];
+      if (!slot.used) {
+        return nullptr;
+      }
+      if (slot.body == body) {
+        return &slot.count;
+      }
+    }
+  }
+
+  void insert(const ItemBitset& body, std::size_t count) {
+    if ((used_ + 1) * 2 > slots_.size()) {
+      grow();
+    }
+    std::size_t i = hash(body) & mask();
+    while (slots_[i].used) {
+      i = (i + 1) & mask();
+    }
+    slots_[i] = Slot{body, count, true};
+    ++used_;
+  }
+
+ private:
+  struct Slot {
+    ItemBitset body;
+    std::size_t count = 0;
+    bool used = false;
+  };
+
+  static std::size_t hash(const ItemBitset& body) {
+    std::uint64_t h = 0;
+    for (std::size_t w = 0; w < ItemBitset::kWords; ++w) {
+      h = (h ^ body.word(w)) * 0x9e3779b97f4a7c15ULL;
+    }
+    return static_cast<std::size_t>(h ^ (h >> 29));
+  }
+
+  std::size_t mask() const { return slots_.size() - 1; }
+
+  void grow() {
+    std::vector<Slot> old = std::move(slots_);
+    slots_.assign(old.empty() ? 64 : old.size() * 2, Slot{});
+    used_ = 0;
+    for (const Slot& slot : old) {
+      if (slot.used) {
+        insert(slot.body, slot.count);
+      }
+    }
+  }
+
+  std::vector<Slot> slots_;
+  std::size_t used_ = 0;
+};
+
+// The smallest body count at which a body co-occurring `hits` times with
+// its label fails the confidence bar (confidence + 1e-12 < min), but at
+// least `hits`; SIZE_MAX if no count fails it. The bar's test is
+// monotone in the count, so a partial count that reaches this value
+// proves the full one fails, and, being at least `hits`, that it is no
+// smaller than the hit count.
+std::size_t confidence_cutoff(std::size_t hits, double min_confidence) {
+  if (min_confidence <= 1e-12) {
+    return SIZE_MAX;
+  }
+  const double boundary =
+      static_cast<double>(hits) / (min_confidence - 1e-12);
+  if (!(boundary < 1e15)) {
+    return SIZE_MAX;
+  }
+  const auto fails = [&](std::size_t count) {
+    return static_cast<double>(hits) / static_cast<double>(count) + 1e-12 <
+           min_confidence;
+  };
+  std::size_t count =
+      std::max<std::size_t>(1, static_cast<std::size_t>(boundary));
+  while (count > 1 && fails(count - 1)) {
+    --count;
+  }
+  while (!fails(count)) {
+    ++count;
+  }
+  return std::max(count, hits);
 }
 
 // Per-label mining: for each fatal label, mine frequent bodies among the
@@ -198,48 +276,74 @@ FrequentSet run_miner(const TransactionDb& db, const MiningOptions& options,
 // count), then compute each rule's confidence against the *full*
 // database so competing contexts still discount weak bodies.
 //
-// A label's class database is never copied out: the miners read the
-// global database (its vertical index, for Apriori) through a row mask
-// selecting the label's transactions, with label items hidden. And the
-// min_rule_hits floor is pushed into the miners as an absolute count
-// floor: support is anti-monotone, so an itemset below the floor has no
-// superset above it, and the surviving rules are exactly the ones a
-// mine-then-filter pass keeps — without mining the discarded lattice.
+// A label's class database is never copied out: the miner reads the
+// label's own rows of the global database, with label items hidden, into
+// tidsets compacted to those rows. The min_rule_hits floor is pushed
+// into the miner as an absolute count floor: support is anti-monotone,
+// so an itemset below the floor has no superset above it, and the
+// surviving rules are exactly the ones a mine-then-filter pass keeps.
+// Body supports are counted once per distinct body across labels, and a
+// count stops as soon as it proves the rule's confidence too low.
 std::vector<Rule> mine_rules_per_label(const TransactionDb& db,
-                                       const RuleOptions& options,
-                                       MiningAlgorithm algorithm) {
+                                       const RuleOptions& options) {
   // Reserve one slot of the itemset budget for the label. mine_rules
   // rejects max_itemset_size == 0, so the subtract cannot wrap.
   const std::size_t max_body_size =
       std::max<std::size_t>(1, options.mining.max_itemset_size - 1);
-  const VerticalIndex& index = db.vertical_index();
-  std::vector<Rule> rules;
   // A transaction belongs to the class of its first (smallest) label
-  // item, so a label's rows are its column minus the rows of smaller
-  // labels. Event-sets carry one label each: there the rows are exactly
-  // the label's column.
-  DynamicBitset earlier_labels;
-  for (std::size_t i = 0; i < index.items().size(); ++i) {
-    const Item label = index.items()[i];
-    if (!is_label(label)) {
-      continue;
+  // item. Group the rows by that label's bit, ascending within a label:
+  // a counting sort, rows_by_label[first[b], first[b + 1]) for bit b.
+  std::vector<std::uint16_t> class_of(db.size(), 0);
+  std::array<std::uint32_t, ItemBitset::kBits + 1> first{};
+  for (std::size_t r = 0; r < db.size(); ++r) {
+    for (const Item item : db.row(r)) {
+      if (is_label(item)) {
+        class_of[r] = static_cast<std::uint16_t>(item_bit(item));
+        ++first[class_of[r] + 1];
+        break;
+      }
     }
-    DynamicBitset rows = index.columns()[i];
-    rows.and_not_with(earlier_labels);
-    earlier_labels.or_with(index.columns()[i]);
-    const std::size_t label_count = rows.count();
-    if (label_count < options.min_label_count) {
+  }
+  std::partial_sum(first.begin(), first.end(), first.begin());
+  std::vector<std::uint32_t> rows_by_label(first.back());
+  {
+    std::array<std::uint32_t, ItemBitset::kBits + 1> next = first;
+    for (std::size_t r = 0; r < db.size(); ++r) {
+      if (class_of[r] != 0) {
+        rows_by_label[next[class_of[r]]++] = static_cast<std::uint32_t>(r);
+      }
+    }
+  }
+  const VerticalIndex& index = db.vertical_index();
+  ItemsetMiner miner;
+  SupportMemo supports;
+  std::vector<FrequentBits> bodies;
+  std::vector<Rule> rules;
+  for (std::size_t bit = kItemBodyBits; bit < ItemBitset::kBits; ++bit) {
+    const std::span<const std::uint32_t> rows(
+        rows_by_label.data() + first[bit], first[bit + 1] - first[bit]);
+    if (rows.empty() || rows.size() < options.min_label_count) {
       continue;
     }
     const std::size_t min_count =
-        std::max(min_count_for(options.mining.min_support, label_count),
+        std::max(min_count_for(options.mining.min_support, rows.size()),
                  options.min_rule_hits);
-    const FrequentSet frequent =
-        algorithm == MiningAlgorithm::kApriori
-            ? apriori_bodies(index, rows, min_count, max_body_size)
-            : fpgrowth_bodies(db, rows, min_count, max_body_size);
-    for (const FrequentItemset& f : frequent.itemsets()) {
-      const std::size_t body_count = index.support(f.items);
+    bodies.clear();
+    miner.mine(db, rows, /*bodies_only=*/true, min_count, max_body_size,
+               bodies);
+    for (const FrequentBits& f : bodies) {
+      std::size_t body_count = 0;
+      if (const std::size_t* known = supports.find(f.items)) {
+        body_count = *known;
+      } else {
+        const std::size_t cutoff =
+            confidence_cutoff(f.count, options.min_confidence);
+        body_count = index.support(f.items, cutoff);
+        if (body_count >= cutoff) {
+          continue;  // the confidence bar fails; the count is partial
+        }
+        supports.insert(f.items, body_count);
+      }
       BGL_CHECK(body_count >= f.count,
                 "class-conditional support exceeds global body support");
       const double confidence = static_cast<double>(f.count) /
@@ -248,8 +352,8 @@ std::vector<Rule> mine_rules_per_label(const TransactionDb& db,
         continue;
       }
       Rule rule;
-      rule.body = f.items;
-      rule.heads = {subcat_of(label)};
+      rule.body = decode_bitset(f.items);
+      rule.heads = {subcat_of(bit_item(bit))};
       rule.hit_count = f.count;
       rule.body_count = body_count;
       rule.support =
@@ -263,8 +367,7 @@ std::vector<Rule> mine_rules_per_label(const TransactionDb& db,
 
 }  // namespace
 
-RuleSet mine_rules(const TransactionDb& db, const RuleOptions& options,
-                   MiningAlgorithm algorithm) {
+RuleSet mine_rules(const TransactionDb& db, const RuleOptions& options) {
   // Guard the per-label "reserve one slot for the label" subtract below
   // against a std::size_t wrap (0 - 1 would turn the itemset budget into
   // SIZE_MAX and make low-support sweeps explode).
@@ -275,9 +378,9 @@ RuleSet mine_rules(const TransactionDb& db, const RuleOptions& options,
   }
   std::vector<Rule> rules;
   if (options.support_base == SupportBase::kPerLabel) {
-    rules = mine_rules_per_label(db, options, algorithm);
+    rules = mine_rules_per_label(db, options);
   } else {
-    const FrequentSet frequent = run_miner(db, options.mining, algorithm);
+    const FrequentSet frequent = apriori(db, options.mining);
     rules = generate_rules(frequent, db.size(), options.min_confidence);
   }
   return RuleSet(combine_rules(std::move(rules)));
@@ -321,6 +424,9 @@ RuleSet load_rules(std::istream& is) {
     rule.body.reserve(body_size);
     for (std::uint32_t b = 0; b < body_size; ++b) {
       rule.body.push_back(wire::read<Item>(is, "rule body item"));
+      if (!in_universe(rule.body.back())) {
+        throw ParseError("rule body item outside the item universe");
+      }
     }
     const auto head_size = wire::read<std::uint32_t>(is, "rule head size");
     if (head_size > kMaxRuleItems) {

@@ -11,6 +11,7 @@
 // the member confidences.
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -64,13 +65,15 @@ struct RuleOptions {
 /// An ordered rule collection with matching support.
 ///
 /// Construction precomputes a matching index over the confidence order:
-/// each body as an ItemBitset plus an inverted item -> rule-indices map
-/// (bitsets over rule indices). best_match ORs the observed items' rule
-/// masks into a candidate set and subset-tests candidates in confidence
-/// order with word ops — O(|observed| + candidates) instead of a linear
-/// scan over every rule body. Bodies containing items outside the fixed
-/// bitset universe (synthetic tests only; the catalog always fits) are
-/// kept on an always-checked naive path so results stay identical.
+/// each body as an ItemBitset, plus one flat word table with a row per
+/// item bit whose bit r is set iff rule r's body holds the item (and one
+/// more row for empty bodies, which match every window). best_match ORs
+/// the rows of the observed items one word of rules at a time and
+/// subset-tests the candidates in confidence order, stopping at the
+/// first hit — O(|observed| per word of rules + candidates) instead of a
+/// linear scan over every rule body, with no allocation. Every body item
+/// must lie in the item universe (mining/items.hpp); construction throws
+/// ItemOutOfUniverse otherwise.
 class RuleSet {
  public:
   RuleSet() = default;
@@ -84,24 +87,20 @@ class RuleSet {
   bool empty() const { return rules_.empty(); }
 
   /// Returns the highest-confidence rule whose body is a subset of
-  /// `observed` (sorted body items of the current window), or nullptr if
-  /// none matches (Step 6: "select the rule with the highest confidence").
-  const Rule* best_match(const Itemset& observed) const;
-
-  /// Bitset fast path for callers that maintain the observed set
-  /// incrementally (RulePredictor). Only valid when every observed item
-  /// is inside the fixed bitset universe.
+  /// `observed` (the dense bits of the current window's items), or
+  /// nullptr if none matches (Step 6: "select the rule with the highest
+  /// confidence"). Thread-safe; allocates nothing.
   const Rule* best_match(const ItemBitset& observed) const;
 
  private:
-  const Rule* match_candidates(const ItemBitset& observed,
-                               const Itemset* observed_items) const;
-
   std::vector<Rule> rules_;
   // Matching index, parallel to rules_ (confidence order).
-  std::vector<ItemBitset> bodies_;        ///< encoded rule bodies
-  std::vector<DynamicBitset> rules_by_item_;  ///< item bit -> rule indices
-  DynamicBitset always_check_;  ///< rules needing the naive subset test
+  std::vector<ItemBitset> bodies_;  ///< encoded rule bodies
+  std::size_t mask_words_ = 0;      ///< ceil(size() / 64)
+  /// (kBits + 1) rows of mask_words_ words: row b holds the rules whose
+  /// body has bit b, row kBits the rules with an empty body.
+  std::vector<std::uint64_t> rules_by_item_;
+  ItemBitset indexed_;  ///< bits whose row is not all-zero
 };
 
 /// Generates single-head rules body->label from a frequent set: for every
@@ -115,11 +114,8 @@ std::vector<Rule> generate_rules(const FrequentSet& frequent,
 /// confidences and hit counts (Step 3).
 std::vector<Rule> combine_rules(std::vector<Rule> rules);
 
-/// Convenience: mine (with the given algorithm), generate, combine, sort.
-enum class MiningAlgorithm { kApriori, kFpGrowth };
-
-RuleSet mine_rules(const TransactionDb& db, const RuleOptions& options,
-                   MiningAlgorithm algorithm = MiningAlgorithm::kApriori);
+/// Convenience: mine, generate, combine, sort.
+RuleSet mine_rules(const TransactionDb& db, const RuleOptions& options);
 
 /// Binary serialization of a mined rule set ("BGLRULE1" section;
 /// common/binary.hpp wire format). Only the rule list travels — the

@@ -1,6 +1,7 @@
 #include "mining/transaction.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/check.hpp"
@@ -8,84 +9,69 @@
 
 namespace bglpred {
 
-std::size_t VerticalIndex::position(Item item) const {
-  const std::size_t slot = dense_slot(item);
-  if (slot != kNoItemBit) {
-    return dense_[slot] == 0 ? items_.size() : dense_[slot] - 1u;
-  }
-  const auto it = std::lower_bound(items_.begin(), items_.end(), item);
-  return it == items_.end() || *it != item
-             ? items_.size()
-             : static_cast<std::size_t>(it - items_.begin());
-}
-
 const DynamicBitset* VerticalIndex::column(Item item) const {
-  const std::size_t pos = position(item);
-  return pos == items_.size() ? nullptr : &columns_[pos];
+  if (!in_universe(item) || columns_[item_bit(item)].empty_words()) {
+    return nullptr;
+  }
+  return &columns_[item_bit(item)];
 }
 
 std::size_t VerticalIndex::support(const Itemset& items) const {
-  if (items.empty()) {
-    return transaction_count_;  // every transaction contains the empty set
-  }
-  const DynamicBitset* first = column(items[0]);
-  if (first == nullptr) {
-    return 0;
-  }
-  if (items.size() == 1) {
-    return first->count();
-  }
-  if (items.size() == 2) {
-    const DynamicBitset* second = column(items[1]);
-    return second == nullptr ? 0
-                             : DynamicBitset::and_count(*first, *second);
-  }
-  // The per-label confidence pass asks once per frequent body; a scratch
-  // bitset reused across calls keeps that from allocating every time
-  // (copy-assignment reuses its capacity).
-  thread_local DynamicBitset acc;
-  acc = *first;
-  for (std::size_t i = 1; i < items.size(); ++i) {
-    const DynamicBitset* col = column(items[i]);
-    if (col == nullptr) {
-      return 0;
+  ItemBitset bits;
+  for (const Item item : items) {
+    if (column(item) == nullptr) {
+      return 0;  // never occurs, or cannot occur
     }
-    acc.and_with(*col);
+    bits.set(item_bit(item));
   }
-  return acc.count();
+  return support(bits);
 }
 
-// bgl:hot-begin(rule-extract)
-// A column is inserted, at its sorted position, only on the item's
-// first occurrence.
-void VerticalIndex::set_in_open_row_slow(Item item) {
-  const auto it = std::lower_bound(items_.begin(), items_.end(), item);
-  const auto pos = static_cast<std::size_t>(it - items_.begin());
-  if (it == items_.end() || *it != item) {
-    items_.insert(it, item);
-    columns_.insert(columns_.begin() + static_cast<std::ptrdiff_t>(pos),
-                    DynamicBitset());
-    // Columns at or after pos moved up one place.
-    for (std::uint32_t& p : dense_) {
-      if (p > pos) {
-        ++p;
-      }
-    }
-    const std::size_t slot = dense_slot(item);
-    if (slot != kNoItemBit) {
-      dense_[slot] = static_cast<std::uint32_t>(pos + 1);
-    }
+std::size_t VerticalIndex::support(const ItemBitset& items,
+                                   std::size_t stop_at) const {
+  // The columns to intersect, and the width they share: words past the
+  // narrowest column are all-zero in the AND.
+  std::array<const std::uint64_t*, ItemBitset::kBits> cols;
+  std::size_t n = 0;
+  std::size_t words = SIZE_MAX;
+  items.for_each_set([&](std::size_t bit) {
+    cols[n++] = columns_[bit].words();
+    words = std::min(words, columns_[bit].word_count());
+  });
+  if (n == 0) {
+    return transaction_count_;  // every transaction contains the empty set
   }
-  columns_[pos].set(transaction_count_);
+  std::size_t count = 0;
+  for (std::size_t w = 0; w < words && count < stop_at; ++w) {
+    std::uint64_t x = cols[0][w];
+    for (std::size_t i = 1; i < n; ++i) {
+      x &= cols[i][w];
+    }
+    count += static_cast<std::size_t>(std::popcount(x));
+  }
+  return count;
+}
+
+void TransactionDb::add_row(const ItemBitset& items) {
+  if (!items.is_subset_of(universe_bits())) {
+    items.for_each_set(
+        [](std::size_t bit) { require_in_universe(bit_item(bit)); });
+  }
+  // bgl:hot-begin(rule-extract)
+  items.for_each_set([&](std::size_t bit) { append_item(bit_item(bit)); });
+  end_row();
+  // bgl:hot-end
 }
 
 void TransactionDb::add_sorted(std::span<const Item> items) {
   for (const Item item : items) {
-    push_item(item);
+    require_in_universe(item);
+  }
+  for (const Item item : items) {
+    append_item(item);
   }
   end_row();
 }
-// bgl:hot-end
 
 void TransactionDb::add(Transaction t) {
   std::sort(t.begin(), t.end());

@@ -1,6 +1,7 @@
 #include "predict/rule_predictor.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/check.hpp"
 #include "common/error.hpp"
@@ -17,28 +18,32 @@ RulePredictor::RulePredictor(const PredictionConfig& config,
               "rule generation window must be positive");
 }
 
+namespace {
+
+// last_fired_ value of a rule that has not fired. No record carries this
+// time: the window arithmetic (time - window) would overflow on it.
+constexpr TimePoint kNeverFired = std::numeric_limits<TimePoint>::min();
+
+}  // namespace
+
 void RulePredictor::train(const LogView& training) {
   const TransactionDb db = extract_event_sets(
       training, options_.rule_generation_window, &training_stats_,
       options_.negative_ratio);
-  rules_ = mine_rules(db, options_.rules, options_.algorithm);
+  rules_ = mine_rules(db, options_.rules);
   reset();
 }
 
 void RulePredictor::reset() {
   window_.clear();
-  item_counts_.assign(ItemBitset::kBits, 0);
+  window_head_ = 0;
+  item_counts_.fill(0);
   live_items_.reset();
-  overflow_counts_.clear();
-  rule_debounce_.clear();
+  last_fired_.assign(rules_.size(), kNeverFired);
 }
 
 void RulePredictor::add_item(Item item) {
   const std::size_t bit = item_bit(item);
-  if (bit == kNoItemBit) {
-    ++overflow_counts_[item];
-    return;
-  }
   if (item_counts_[bit]++ == 0) {
     live_items_.set(bit);
   }
@@ -46,15 +51,6 @@ void RulePredictor::add_item(Item item) {
 
 void RulePredictor::remove_item(Item item) {
   const std::size_t bit = item_bit(item);
-  if (bit == kNoItemBit) {
-    const auto it = overflow_counts_.find(item);
-    BGL_CHECK(it != overflow_counts_.end(),
-              "evicting an item the window never counted");
-    if (--it->second == 0) {
-      overflow_counts_.erase(it);
-    }
-    return;
-  }
   BGL_CHECK(item_counts_[bit] > 0,
             "evicting an item the window never counted");
   if (--item_counts_[bit] == 0) {
@@ -68,25 +64,22 @@ void RulePredictor::save_state(std::ostream& os) const {
   wire::write<std::uint64_t>(os, training_stats_.fatal_events);
   wire::write<std::uint64_t>(os, training_stats_.with_precursors);
   wire::write<std::uint64_t>(os, training_stats_.without_precursors);
-  wire::write<std::uint64_t>(os, window_.size());
-  for (const auto& [time, item] : window_) {
-    wire::write<std::int64_t>(os, time);
-    wire::write<std::uint32_t>(os, item);
+  wire::write<std::uint64_t>(os, window_.size() - window_head_);
+  for (std::size_t i = window_head_; i < window_.size(); ++i) {
+    wire::write<std::int64_t>(os, window_[i].first);
+    wire::write<std::uint32_t>(os, window_[i].second);
   }
-  // Debounce entries key on rule pointers; serialize as indices into the
-  // confidence order (stable across save/load), sorted for deterministic
-  // bytes regardless of hash-map iteration order.
-  std::vector<std::pair<std::uint64_t, TimePoint>> debounce;
-  debounce.reserve(rule_debounce_.size());
-  const Rule* base = rules_.rules().data();
-  for (const auto& [rule, time] : rule_debounce_) {
-    debounce.emplace_back(static_cast<std::uint64_t>(rule - base), time);
-  }
-  std::sort(debounce.begin(), debounce.end());
-  wire::write<std::uint64_t>(os, debounce.size());
-  for (const auto& [index, time] : debounce) {
-    wire::write<std::uint64_t>(os, index);
-    wire::write<std::int64_t>(os, time);
+  // Debounce entries as (rule index in the confidence order, time), in
+  // index order: stable across save/load.
+  const auto fired = static_cast<std::uint64_t>(
+      std::count_if(last_fired_.begin(), last_fired_.end(),
+                    [](TimePoint t) { return t != kNeverFired; }));
+  wire::write<std::uint64_t>(os, fired);
+  for (std::size_t r = 0; r < last_fired_.size(); ++r) {
+    if (last_fired_[r] != kNeverFired) {
+      wire::write<std::uint64_t>(os, r);
+      wire::write<std::int64_t>(os, last_fired_[r]);
+    }
   }
 }
 
@@ -104,10 +97,13 @@ void RulePredictor::load_state(std::istream& is) {
   for (std::uint64_t i = 0; i < window_size; ++i) {
     const auto time = wire::read<std::int64_t>(is, "window entry time");
     const auto item = wire::read<std::uint32_t>(is, "window entry item");
+    if (!in_universe(item)) {
+      throw ParseError("window entry item outside the item universe");
+    }
     window_.emplace_back(static_cast<TimePoint>(time),
                          static_cast<Item>(item));
-    // Replaying the inserts rebuilds item_counts_/live_items_/
-    // overflow_counts_ exactly as the live engine maintained them.
+    // Replaying the inserts rebuilds item_counts_/live_items_ exactly as
+    // the live engine maintained them.
     add_item(window_.back().second);
   }
   const auto debounce_size = wire::read<std::uint64_t>(is, "debounce size");
@@ -117,41 +113,34 @@ void RulePredictor::load_state(std::istream& is) {
     if (index >= rules_.size()) {
       throw ParseError("debounce entry references a rule out of range");
     }
-    rule_debounce_.emplace(&rules_.rules()[index],
-                           static_cast<TimePoint>(time));
+    last_fired_[index] = static_cast<TimePoint>(time);
   }
 }
 
+// bgl:hot-begin(rule-matcher)
 std::optional<Warning> RulePredictor::observe(const RasRecord& rec) {
   // Evict items older than the prediction window.
-  while (!window_.empty() &&
-         window_.front().first <= rec.time - config_.window) {
-    remove_item(window_.front().second);
-    window_.pop_front();
+  while (window_head_ < window_.size() &&
+         window_[window_head_].first <= rec.time - config_.window) {
+    remove_item(window_[window_head_].second);
+    ++window_head_;
   }
-  if (rec.fatal() || rec.subcategory == kUnclassified) {
-    return std::nullopt;
+  if (window_head_ == window_.size()) {
+    window_.clear();  // keeps the capacity
+    window_head_ = 0;
+  } else if (window_head_ >= 64 && 2 * window_head_ >= window_.size()) {
+    // More dead entries than live ones: slide the live ones down.
+    window_.erase(window_.begin(),
+                  window_.begin() + static_cast<std::ptrdiff_t>(window_head_));
+    window_head_ = 0;
+  }
+  if (rec.fatal() || !in_catalog(rec.subcategory)) {
+    return std::nullopt;  // unclassified records carry no item
   }
   window_.emplace_back(rec.time, body_item(rec.subcategory));
   add_item(window_.back().second);
 
-  const Rule* rule = nullptr;
-  if (overflow_counts_.empty()) {
-    // Fast path: the live bitset is the window's distinct item set.
-    rule = rules_.best_match(live_items_);
-  } else {
-    // Items outside the bitset universe are present (synthetic inputs):
-    // fall back to the full sorted-itemset match for exact semantics.
-    Itemset observed;
-    observed.reserve(window_.size());
-    for (const auto& [t, item] : window_) {
-      observed.push_back(item);
-    }
-    std::sort(observed.begin(), observed.end());
-    observed.erase(std::unique(observed.begin(), observed.end()),
-                   observed.end());
-    rule = rules_.best_match(observed);
-  }
+  const Rule* rule = rules_.best_match(live_items_);
   if (rule == nullptr) {
     return std::nullopt;
   }
@@ -164,13 +153,12 @@ std::optional<Warning> RulePredictor::observe(const RasRecord& rec) {
   // so a persisting precursor body is a single continuing prediction
   // rather than a train of expiring false alarms. We only suppress exact
   // same-second duplicates of the same rule to bound the warning volume.
-  auto [it, inserted] = rule_debounce_.try_emplace(rule, rec.time);
-  if (!inserted) {
-    if (rec.time == it->second) {
-      return std::nullopt;
-    }
-    it->second = rec.time;
+  TimePoint& last = last_fired_[static_cast<std::size_t>(
+      rule - rules_.rules().data())];
+  if (last == rec.time) {
+    return std::nullopt;
   }
+  last = rec.time;
 
   Warning w;
   w.issued_at = rec.time;
@@ -181,5 +169,6 @@ std::optional<Warning> RulePredictor::observe(const RasRecord& rec) {
   w.mergeable = true;
   return w;
 }
+// bgl:hot-end
 
 }  // namespace bglpred

@@ -1,18 +1,17 @@
 // Rule-based base predictor (§3.2.2).
 //
 // Training extracts event-sets with the *rule generation window*, mines
-// association rules (Apriori by default; FP-Growth gives identical
-// output), merges equal-body rules, and sorts by confidence. At test
-// time a sliding window of the last `prediction window` seconds of
-// non-fatal events is matched against rule bodies; the
-// highest-confidence matching rule emits a warning. A rule is debounced
+// association rules (Apriori's frequent sets), merges equal-body rules,
+// and sorts by confidence. At test time a sliding window of the last
+// `prediction window` seconds of non-fatal events is matched against
+// rule bodies; the highest-confidence matching rule emits a warning. A rule is debounced
 // while its previous warning interval is still open, so a persisting
 // body does not spray duplicate warnings.
 #pragma once
 
-#include <deque>
-#include <map>
-#include <unordered_map>
+#include <array>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/bitset.hpp"
@@ -28,7 +27,6 @@ struct RulePredictorOptions {
   /// 25 min for SDSC, selected by sweep — see bench/ablation_rulegen_window).
   Duration rule_generation_window = 15 * kMinute;
   RuleOptions rules;  ///< support/confidence thresholds
-  MiningAlgorithm algorithm = MiningAlgorithm::kApriori;
   /// Negative windows per fatal event added to the training transactions
   /// (see extract_event_sets): calibrates rule confidences to
   /// P(failure | body), pruning coincidental chatter bodies.
@@ -65,15 +63,17 @@ class RulePredictor final : public BasePredictor {
   // Streaming test state. The window's distinct-item set is maintained
   // incrementally: per-item occurrence counts plus a live ItemBitset
   // updated on insert/evict, so each observe() is a handful of word ops
-  // instead of a rebuild + sort of the window's itemset. Items outside
-  // the fixed bitset universe (synthetic tests only) spill into
-  // overflow_counts_ and force the equivalent naive rebuild path.
-  std::deque<std::pair<TimePoint, Item>> window_;  // non-fatal items
-  std::vector<std::uint32_t> item_counts_ =
-      std::vector<std::uint32_t>(ItemBitset::kBits, 0);  // by dense item bit
-  ItemBitset live_items_;                          // bits with count > 0
-  std::map<Item, std::uint32_t> overflow_counts_;  // unencodable items
-  std::unordered_map<const Rule*, TimePoint> rule_debounce_;
+  // instead of a rebuild + sort of the window's itemset. The window is a
+  // vector read from window_head_ on, compacted in place, so a steady
+  // stream reuses its storage; records outside the catalog never enter
+  // it (no rule body can hold them).
+  std::vector<std::pair<TimePoint, Item>> window_;  // non-fatal items
+  std::size_t window_head_ = 0;                     // first live entry
+  std::array<std::uint32_t, ItemBitset::kBits> item_counts_{};  // by bit
+  ItemBitset live_items_;  // bits with count > 0
+  // Debounce: the time each rule (by confidence-order index) last fired,
+  // kNeverFired if it has not.
+  std::vector<TimePoint> last_fired_;
 
   void add_item(Item item);
   void remove_item(Item item);

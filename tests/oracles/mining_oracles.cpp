@@ -202,44 +202,14 @@ std::vector<Itemset> rows_of(const TransactionDb& db) {
 }
 
 ReferenceColumns reference_vertical_index(const TransactionDb& db) {
-  // Dense column slot for items inside the ItemBitset universe, or
-  // kNoItemBit.
-  const auto dense_slot = [](Item item) {
-    const std::size_t bit = item_bit(item);
-    if (bit == kNoItemBit) {
-      return kNoItemBit;
-    }
-    const Item round_trip = is_label(item) ? label_item(subcat_of(item))
-                                           : body_item(subcat_of(item));
-    return round_trip == item ? bit : kNoItemBit;
-  };
-  std::vector<std::pair<Item, DynamicBitset>> dense(ItemBitset::kBits);
-  std::map<Item, DynamicBitset> overflow;
+  std::map<Item, DynamicBitset> columns;
   for (std::size_t t = 0; t < db.size(); ++t) {
     for (const Item item : db.row(t)) {
-      const std::size_t slot = dense_slot(item);
-      if (slot == kNoItemBit) {
-        overflow[item].set(t);
-      } else {
-        dense[slot].first = item;
-        dense[slot].second.set(t);
-      }
+      columns[item].set(t);
     }
   }
-  std::vector<std::pair<Item, DynamicBitset>> all;
-  for (auto& entry : dense) {
-    if (!entry.second.empty_words()) {
-      all.push_back(std::move(entry));
-    }
-  }
-  for (auto& [item, bits] : overflow) {
-    all.emplace_back(item, std::move(bits));
-  }
-  std::sort(all.begin(), all.end(), [](const auto& a, const auto& b) {
-    return a.first < b.first;
-  });
   ReferenceColumns out;
-  for (auto& [item, bits] : all) {
+  for (auto& [item, bits] : columns) {
     out.items.push_back(item);
     out.columns.push_back(std::move(bits));
   }

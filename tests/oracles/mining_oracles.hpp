@@ -29,8 +29,7 @@ FrequentSet apriori_reference(const TransactionDb& db,
 std::vector<Itemset> rows_of(const TransactionDb& db);
 
 /// A vertical index built the two-pass way: every row of `db` is read
-/// back, catalog items into a flat slot array and anything else into a
-/// map, then the columns are sorted by item. The oracle for the columns
+/// back into a map from item to column. The oracle for the columns
 /// TransactionDb maintains as rows are appended.
 struct ReferenceColumns {
   std::vector<Item> items;  // ascending; parallel to columns

@@ -9,8 +9,8 @@
 #include "common/binary.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "mining/apriori.hpp"
-#include "mining/fpgrowth.hpp"
+#include "oracles/fpgrowth_oracle.hpp"
+#include "oracles/mining_oracles.hpp"
 #include "predict/checkpoint.hpp"
 
 namespace bglpred::oracles {
@@ -109,9 +109,9 @@ TransactionDb reference_extract_event_sets(const LogView& log,
 namespace {
 
 FrequentSet run_miner(const TransactionDb& db, const MiningOptions& options,
-                      MiningAlgorithm algorithm) {
-  return algorithm == MiningAlgorithm::kApriori ? apriori(db, options)
-                                                : fpgrowth(db, options);
+                      ReferenceMiner miner) {
+  return miner == ReferenceMiner::kApriori ? apriori_reference(db, options)
+                                           : fpgrowth(db, options);
 }
 
 // Per-label mining: for each fatal label, mine frequent bodies among the
@@ -120,7 +120,7 @@ FrequentSet run_miner(const TransactionDb& db, const MiningOptions& options,
 // database so competing contexts still discount weak bodies.
 std::vector<Rule> mine_rules_per_label(const TransactionDb& db,
                                        const RuleOptions& options,
-                                       MiningAlgorithm algorithm) {
+                                       ReferenceMiner miner) {
   // Group transactions by their (single) label item.
   std::map<Item, std::vector<Transaction>> by_label;
   for (std::size_t r = 0; r < db.size(); ++r) {
@@ -155,7 +155,7 @@ std::vector<Rule> mine_rules_per_label(const TransactionDb& db,
     // rejects max_itemset_size == 0, so the subtract cannot wrap.
     mining.max_itemset_size =
         std::max<std::size_t>(1, mining.max_itemset_size - 1);
-    const FrequentSet frequent = run_miner(class_db, mining, algorithm);
+    const FrequentSet frequent = run_miner(class_db, mining, miner);
     for (const FrequentItemset& f : frequent.itemsets()) {
       if (f.items.empty() || f.count < options.min_rule_hits) {
         continue;
@@ -186,7 +186,7 @@ std::vector<Rule> mine_rules_per_label(const TransactionDb& db,
 
 RuleSet reference_mine_rules(const TransactionDb& db,
                              const RuleOptions& options,
-                             MiningAlgorithm algorithm) {
+                             ReferenceMiner miner) {
   BGL_REQUIRE(options.mining.max_itemset_size >= 1,
               "max itemset size must be >= 1");
   if (db.empty()) {
@@ -194,9 +194,9 @@ RuleSet reference_mine_rules(const TransactionDb& db,
   }
   std::vector<Rule> rules;
   if (options.support_base == SupportBase::kPerLabel) {
-    rules = mine_rules_per_label(db, options, algorithm);
+    rules = mine_rules_per_label(db, options, miner);
   } else {
-    const FrequentSet frequent = run_miner(db, options.mining, algorithm);
+    const FrequentSet frequent = run_miner(db, options.mining, miner);
     rules = generate_rules(frequent, db.size(), options.min_confidence);
   }
   return RuleSet(combine_rules(std::move(rules)));
@@ -206,7 +206,7 @@ void ReferenceRulePredictor::train(const LogView& training) {
   const TransactionDb db = reference_extract_event_sets(
       training, options_.rule_generation_window, &training_stats_,
       options_.negative_ratio);
-  rules_ = reference_mine_rules(db, options_.rules, options_.algorithm);
+  rules_ = reference_mine_rules(db, options_.rules, miner_);
 }
 
 std::optional<Warning> ReferenceRulePredictor::observe(

@@ -1,10 +1,11 @@
 // Reference rule trainer: event-set extraction and per-label rule mining
 // as first written — a rescan of every positive window, per-record
 // binary searches over the view for negative windows, and one copied
-// class database per label, mined in full and filtered afterwards by
-// min_rule_hits. The product trainer (extract_event_sets + mine_rules)
-// must reproduce its rule sets byte for byte and its EventSetStats
-// exactly.
+// class database per label, mined in full by one of the oracle miners
+// (textbook horizontal-counting Apriori or FP-Growth) and filtered
+// afterwards by min_rule_hits. The product trainer (extract_event_sets +
+// mine_rules) must reproduce its rule sets byte for byte and its
+// EventSetStats exactly.
 #pragma once
 
 #include <cstdint>
@@ -24,10 +25,13 @@ TransactionDb reference_extract_event_sets(const LogView& log,
                                            double negative_ratio = 0.0,
                                            std::uint64_t seed = 0x5eed);
 
-/// Reference for mine_rules() (same arguments and output).
+/// The frequent-itemset oracle a reference trainer mines with.
+enum class ReferenceMiner { kApriori, kFpGrowth };
+
+/// Reference for mine_rules() (same output).
 RuleSet reference_mine_rules(
     const TransactionDb& db, const RuleOptions& options,
-    MiningAlgorithm algorithm = MiningAlgorithm::kApriori);
+    ReferenceMiner miner = ReferenceMiner::kApriori);
 
 /// A RulePredictor whose train() runs the reference trainer. It only
 /// trains and saves: save_state() writes the blob a freshly trained
@@ -36,8 +40,9 @@ RuleSet reference_mine_rules(
 class ReferenceRulePredictor final : public BasePredictor {
  public:
   ReferenceRulePredictor(const PredictionConfig& config,
-                         const RulePredictorOptions& options = {})
-      : config_(config), options_(options) {}
+                         const RulePredictorOptions& options = {},
+                         ReferenceMiner miner = ReferenceMiner::kApriori)
+      : config_(config), options_(options), miner_(miner) {}
 
   std::string name() const override { return "rule"; }
   void train(const LogView& training) override;
@@ -52,6 +57,7 @@ class ReferenceRulePredictor final : public BasePredictor {
  private:
   PredictionConfig config_;
   RulePredictorOptions options_;
+  ReferenceMiner miner_;
   RuleSet rules_;
   EventSetStats training_stats_;
 };

@@ -270,8 +270,8 @@ TEST(PruningTest, BestMatchUnchangedOnRealRules) {
   const RuleSet pruned = prune_redundant_rules(full);
   EXPECT_LE(pruned.size(), full.size());
   for (const Rule& r : full.rules()) {
-    const Rule* a = full.best_match(r.body);
-    const Rule* b = pruned.best_match(r.body);
+    const Rule* a = full.best_match(encode_bitset(r.body));
+    const Rule* b = pruned.best_match(encode_bitset(r.body));
     ASSERT_NE(a, nullptr);
     ASSERT_NE(b, nullptr);
     EXPECT_NEAR(a->confidence, b->confidence, 1e-9)

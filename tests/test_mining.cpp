@@ -11,9 +11,10 @@
 #include "common/rng.hpp"
 #include "mining/apriori.hpp"
 #include "mining/event_sets.hpp"
-#include "mining/fpgrowth.hpp"
 #include "mining/rules.hpp"
+#include "oracles/fpgrowth_oracle.hpp"
 #include "oracles/mining_oracles.hpp"
+#include "oracles/rule_training_oracle.hpp"
 #include "taxonomy/catalog.hpp"
 
 namespace bglpred {
@@ -153,7 +154,7 @@ TEST_P(MinerEquivalenceTest, AprioriEqualsFpGrowthEqualsBruteForce) {
   opt.max_itemset_size = 4;
 
   const auto a = sorted_by_itemset(apriori(db, opt).itemsets());
-  const auto f = sorted_by_itemset(fpgrowth(db, opt).itemsets());
+  const auto f = sorted_by_itemset(oracles::fpgrowth(db, opt).itemsets());
   const auto oracle = sorted_by_itemset(oracles::brute_force_frequent(db, opt));
 
   ASSERT_EQ(a.size(), oracle.size());
@@ -287,14 +288,14 @@ TEST(RuleSetTest, SortedByConfidenceAndBestMatch) {
   EXPECT_DOUBLE_EQ(set.rules()[0].confidence, 0.9);
 
   // Window containing both bodies -> the higher-confidence rule wins.
-  const Rule* best = set.best_match({1, 2, 7});
+  const Rule* best = set.best_match(encode_bitset(Itemset{1, 2, 7}));
   ASSERT_NE(best, nullptr);
   EXPECT_DOUBLE_EQ(best->confidence, 0.9);
   // Window containing only item 1 -> the single-item rule.
-  best = set.best_match({1, 7});
+  best = set.best_match(encode_bitset(Itemset{1, 7}));
   ASSERT_NE(best, nullptr);
   EXPECT_DOUBLE_EQ(best->confidence, 0.4);
-  EXPECT_EQ(set.best_match({7, 8}), nullptr);
+  EXPECT_EQ(set.best_match(encode_bitset(Itemset{7, 8})), nullptr);
 }
 
 TEST(RuleTest, ToStringUsesCatalogNames) {
@@ -322,8 +323,11 @@ TEST(MineRulesTest, ApioriAndFpGrowthProduceIdenticalRuleSets) {
   RuleOptions opt;
   opt.mining.min_support = 0.04;
   opt.min_confidence = 0.2;
-  const RuleSet a = mine_rules(db, opt, MiningAlgorithm::kApriori);
-  const RuleSet f = mine_rules(db, opt, MiningAlgorithm::kFpGrowth);
+  // The product miner against the reference trainer mining with the
+  // independent FP-Growth oracle.
+  const RuleSet a = mine_rules(db, opt);
+  const RuleSet f = oracles::reference_mine_rules(
+      db, opt, oracles::ReferenceMiner::kFpGrowth);
   ASSERT_EQ(a.size(), f.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a.rules()[i].body, f.rules()[i].body);

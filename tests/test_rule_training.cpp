@@ -20,8 +20,8 @@
 #include "meta/meta_learner.hpp"
 #include "mining/apriori.hpp"
 #include "mining/event_sets.hpp"
-#include "mining/fpgrowth.hpp"
 #include "mining/rules.hpp"
+#include "oracles/fpgrowth_oracle.hpp"
 #include "oracles/mining_oracles.hpp"
 #include "oracles/rule_training_oracle.hpp"
 #include "predict/rule_predictor.hpp"
@@ -50,8 +50,8 @@ void expect_same_stats(const EventSetStats& a, const EventSetStats& b) {
 }
 
 // Extraction must match the reference transaction for transaction (order
-// included), and mining must give byte-identical rule sets under both
-// algorithms.
+// included), and mining must give rule sets byte-identical to the
+// reference trainer's under both oracle miners.
 void expect_same_training(const LogView& log, Duration window,
                           double negative_ratio, const RuleOptions& options) {
   EventSetStats stats;
@@ -62,11 +62,11 @@ void expect_same_training(const LogView& log, Duration window,
       log, window, &ref_stats, negative_ratio);
   expect_same_stats(stats, ref_stats);
   ASSERT_EQ(oracles::rows_of(db), oracles::rows_of(ref));
-  for (const MiningAlgorithm algorithm :
-       {MiningAlgorithm::kApriori, MiningAlgorithm::kFpGrowth}) {
-    EXPECT_EQ(rule_bytes(mine_rules(db, options, algorithm)),
-              rule_bytes(oracles::reference_mine_rules(db, options,
-                                                       algorithm)));
+  const std::string mined = rule_bytes(mine_rules(db, options));
+  for (const oracles::ReferenceMiner miner :
+       {oracles::ReferenceMiner::kApriori, oracles::ReferenceMiner::kFpGrowth}) {
+    EXPECT_EQ(mined,
+              rule_bytes(oracles::reference_mine_rules(db, options, miner)));
   }
 }
 
@@ -92,16 +92,15 @@ const RasLog& phase1_log(const std::string& profile, std::uint64_t seed) {
   return it->second;
 }
 
-using FoldCase = std::tuple<std::string, int, MiningAlgorithm>;
+using FoldCase = std::tuple<std::string, int, oracles::ReferenceMiner>;
 
 class RuleTrainingFoldTest : public ::testing::TestWithParam<FoldCase> {};
 
 TEST_P(RuleTrainingFoldTest, CheckpointsMatchReferenceTrainer) {
-  const auto& [profile, window_minutes, algorithm] = GetParam();
+  const auto& [profile, window_minutes, miner] = GetParam();
   ThreePhaseOptions options;
   options.prediction.window = 30 * kMinute;
   options.rule.rule_generation_window = window_minutes * kMinute;
-  options.rule.algorithm = algorithm;
   const ThreePhasePredictor pipeline(options);
   std::size_t rules_mined = 0;
   for (const std::uint64_t seed : kSeeds) {
@@ -116,7 +115,7 @@ TEST_P(RuleTrainingFoldTest, CheckpointsMatchReferenceTrainer) {
 
       RulePredictor rule(options.prediction, options.rule);
       oracles::ReferenceRulePredictor ref_rule(options.prediction,
-                                               options.rule);
+                                               options.rule, miner);
       rule.train(training);
       ref_rule.train(training);
       expect_same_stats(rule.training_stats(), ref_rule.training_stats());
@@ -128,7 +127,7 @@ TEST_P(RuleTrainingFoldTest, CheckpointsMatchReferenceTrainer) {
       const PredictorPtr meta = pipeline.make_predictor(Method::kMeta);
       MetaLearner ref_meta(options.prediction, options.meta);
       ref_meta.add_base(std::make_unique<oracles::ReferenceRulePredictor>(
-                            options.prediction, options.rule),
+                            options.prediction, options.rule, miner),
                         /*treat_as_rule_like=*/true);
       PredictionConfig stat_config = options.prediction;
       stat_config.lead = 5 * kMinute;
@@ -148,12 +147,12 @@ INSTANTIATE_TEST_SUITE_P(
     Calibrated, RuleTrainingFoldTest,
     ::testing::Combine(::testing::Values("ANL", "SDSC"),
                        ::testing::Values(5, 15, 25, 60),
-                       ::testing::Values(MiningAlgorithm::kApriori,
-                                         MiningAlgorithm::kFpGrowth)),
+                       ::testing::Values(oracles::ReferenceMiner::kApriori,
+                                         oracles::ReferenceMiner::kFpGrowth)),
     [](const ::testing::TestParamInfo<FoldCase>& info) {
       return std::get<0>(info.param) + "_" +
              std::to_string(std::get<1>(info.param)) + "min_" +
-             (std::get<2>(info.param) == MiningAlgorithm::kApriori
+             (std::get<2>(info.param) == oracles::ReferenceMiner::kApriori
                   ? "Apriori"
                   : "FpGrowth");
     });
@@ -225,29 +224,46 @@ TEST(RuleTrainingEdgeTest, OverlappingWindowsSlideCounts) {
 }
 
 TEST(RuleTrainingEdgeTest, UnclassifiedAndOutOfUniverseItems) {
-  // Unclassified records contribute nothing; subcategories past the
-  // ItemBitset universe (bodies and labels) are ordinary items.
-  const SubcategoryId far = 4000;
-  const SubcategoryId past = kItemBodyBits + 5;
+  // Unclassified records contribute nothing; the highest catalog
+  // subcategories are ordinary items.
+  const SubcategoryId last = kExpectedSubcategories - 1;
+  const SubcategoryId near = kExpectedSubcategories - 2;
   std::vector<RasRecord> records;
   for (int i = 0; i < 40; ++i) {
     const TimePoint t = i * 100;
     records.push_back(record(t, kUnclassified, false));
-    records.push_back(record(t + 1, i % 2 == 0 ? far : past, false));
+    records.push_back(record(t + 1, i % 2 == 0 ? last : near, false));
     records.push_back(record(t + 2, 7, false));
-    records.push_back(record(t + 3, i % 3 == 0 ? far : 11, true));
+    records.push_back(record(t + 3, i % 3 == 0 ? last : 11, true));
   }
   const RasLog log = log_of(records);
   const TransactionDb db = extract_event_sets(log, 50, nullptr);
   ASSERT_EQ(db.size(), 40u);
   EXPECT_EQ(oracles::rows_of(db)[0],
-            (Itemset{body_item(7), body_item(far), label_item(far)}));
+            (Itemset{body_item(7), body_item(last), label_item(last)}));
   RuleOptions options;
   options.min_label_count = 1;
   for (const std::size_t hits : {0u, 1u, 5u}) {
     options.min_rule_hits = hits;
     expect_same_training(log, 50, 0.0, options);
     expect_same_training(log, 50, 2.0, options);
+  }
+  // A subcategory past the catalog, as a body or as a label, is rejected
+  // with the typed error before any window is built, by the product and
+  // by the reference alike.
+  for (const SubcategoryId outside :
+       {static_cast<SubcategoryId>(kExpectedSubcategories),
+        static_cast<SubcategoryId>(kItemBodyBits + 5),
+        static_cast<SubcategoryId>(4000)}) {
+    for (const bool fatal : {false, true}) {
+      std::vector<RasRecord> bad = records;
+      bad.insert(bad.begin() + 8, record(160, outside, fatal));
+      const RasLog bad_log = log_of(bad);
+      EXPECT_THROW(extract_event_sets(bad_log, 50, nullptr, 2.0),
+                   ItemOutOfUniverse);
+      EXPECT_THROW(oracles::reference_extract_event_sets(bad_log, 50),
+                   ItemOutOfUniverse);
+    }
   }
 }
 
@@ -272,8 +288,8 @@ TEST(RuleTrainingEdgeTest, RejectsWhatTheReferenceRejects) {
                InvalidArgument);
 }
 
-// Random logs with heavy timestamp ties, unclassified records, items past
-// the bitset universe, and two-segment views.
+// Random logs with heavy timestamp ties, unclassified records, items at
+// the top of the catalog, and two-segment views.
 TEST(RuleTrainingEdgeTest, RandomLogsAndViewsMatchReference) {
   Rng rng(0x7a1115u);
   for (int round = 0; round < 40; ++round) {
@@ -289,7 +305,8 @@ TEST(RuleTrainingEdgeTest, RandomLogsAndViewsMatchReference) {
           subcat = kUnclassified;
           break;
         case 1:
-          subcat = static_cast<SubcategoryId>(kItemBodyBits + subcat);
+          subcat = static_cast<SubcategoryId>(kExpectedSubcategories - 1 -
+                                              subcat);
           break;
         default:
           break;
@@ -344,11 +361,12 @@ TEST(RuleTrainingEdgeTest, MultiLabelDatabasesMatchReference) {
     options.min_label_count = static_cast<std::size_t>(round % 4);
     options.min_rule_hits = static_cast<std::size_t>(round % 3);
     options.min_confidence = 0.05;
-    for (const MiningAlgorithm algorithm :
-         {MiningAlgorithm::kApriori, MiningAlgorithm::kFpGrowth}) {
-      EXPECT_EQ(rule_bytes(mine_rules(db, options, algorithm)),
-                rule_bytes(oracles::reference_mine_rules(db, options,
-                                                         algorithm)))
+    const std::string mined = rule_bytes(mine_rules(db, options));
+    for (const oracles::ReferenceMiner miner :
+         {oracles::ReferenceMiner::kApriori,
+          oracles::ReferenceMiner::kFpGrowth}) {
+      EXPECT_EQ(mined,
+                rule_bytes(oracles::reference_mine_rules(db, options, miner)))
           << "round " << round;
     }
   }
@@ -408,13 +426,95 @@ TEST(RuleTrainingEdgeTest, MaskedMinersMatchMaterializedSubDatabase) {
                   materialized.itemsets()[i].count);
       }
     };
-    expect_equal(apriori_bodies(db.vertical_index(), rows, min_count,
-                                options.max_itemset_size),
-                 apriori(sub, options));
     expect_equal(
-        fpgrowth_bodies(db, rows, min_count, options.max_itemset_size),
-        fpgrowth(sub, options));
+        apriori_bodies(db, rows, min_count, options.max_itemset_size),
+        oracles::apriori_reference(sub, options));
+    expect_equal(oracles::fpgrowth_bodies(db, rows, min_count,
+                                          options.max_itemset_size),
+                 oracles::fpgrowth(sub, options));
   }
+}
+
+// ---- streaming state checkpoint ----------------------------------------
+
+std::string to_hex(const std::string& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const char c : bytes) {
+    const auto b = static_cast<unsigned char>(c);
+    out += kDigits[b >> 4];
+    out += kDigits[b & 15];
+  }
+  return out;
+}
+
+// A trained RulePredictor in mid-stream: live window entries and live
+// debounce entries, one of them from a suppressed same-second repeat.
+RulePredictor mid_stream_predictor() {
+  std::vector<RasRecord> records;
+  for (int k = 0; k < 30; ++k) {
+    const TimePoint t = k * 1000;
+    if (k % 2 == 0) {
+      records.push_back(record(t, 3, false));
+      records.push_back(record(t + 10, 4, false));
+      records.push_back(record(t + 20, 9, true));
+    } else {
+      records.push_back(record(t, 5, false));
+      records.push_back(record(t + 15, 6, false));
+      records.push_back(record(t + 30, 8, true));
+    }
+    records.push_back(record(t + 500, 7, false));
+  }
+  PredictionConfig config;
+  config.window = 120;
+  RulePredictorOptions options;
+  options.rule_generation_window = 60;
+  options.negative_ratio = 1.0;
+  options.rules.min_label_count = 1;
+  options.rules.min_rule_hits = 1;
+  RulePredictor predictor(config, options);
+  predictor.train(LogView(log_of(records)));
+  for (const RasRecord& rec :
+       {record(100000, 3, false), record(100000, 4, false),
+        record(100000, 3, false), record(100050, 5, false),
+        record(100060, kUnclassified, false), record(100070, 9, true),
+        record(100200, 7, false), record(100210, 6, false),
+        record(100215, 5, false)}) {
+    predictor.observe(rec);
+  }
+  return predictor;
+}
+
+// Pins the RULE checkpoint layout of a predictor in mid-stream, window
+// and debounce entries included: the golden bytes were written by an
+// earlier build and must not change, and save -> load -> save must
+// reproduce them.
+TEST(RulePredictorStateTest, MidStreamCheckpointMatchesGoldenBytes) {
+  const std::string golden_hex =
+      "52554c450000000000000000780000000000000042474c52554c453106000000"
+      "000000000100000005000000010000000800000000000000d03f000000000000"
+      "ee3f10000000000000000f000000000000000200000005000000060000000100"
+      "00000800000000000000d03f000000000000ee3f10000000000000000f000000"
+      "000000000100000003000000010000000900000000000000d03f3c3c3c3c3c3c"
+      "ec3f11000000000000000f000000000000000200000003000000040000000100"
+      "00000900000000000000d03f3c3c3c3c3c3cec3f11000000000000000f000000"
+      "000000000100000004000000010000000900000000000000d03f3c3c3c3c3c3c"
+      "ec3f11000000000000000f000000000000000100000006000000010000000800"
+      "000000000000d03f3c3c3c3c3c3cec3f11000000000000000f00000000000000"
+      "1e000000000000001e0000000000000000000000000000000300000000000000"
+      "6887010000000000070000007287010000000000060000007787010000000000"
+      "0500000003000000000000000000000000000000778701000000000002000000"
+      "00000000a08601000000000005000000000000007287010000000000";
+  const RulePredictor predictor = mid_stream_predictor();
+  ASSERT_FALSE(predictor.rules().empty());
+  const std::string saved = state_bytes(predictor);
+  EXPECT_EQ(to_hex(saved), golden_hex);
+  std::istringstream is(saved);
+  PredictionConfig config;
+  config.window = 120;
+  RulePredictor restored(config);
+  restored.load_state(is);
+  EXPECT_EQ(to_hex(state_bytes(restored)), to_hex(saved));
 }
 
 }  // namespace

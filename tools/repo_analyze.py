@@ -30,6 +30,11 @@ that need the whole repository in view. Four analyses:
        hot-stream         std::[i/o]stringstream
        hot-throw          throw expressions
        hot-byvalue-param  container/string parameters taken by value
+       hot-bitset-copy    DynamicBitset / Itemset / Transaction locals,
+                          temporaries and DynamicBitset::and_of copies
+                          (each is a heap buffer; hot mining and
+                          matching code works on ItemBitset values and
+                          flat word arrays)
 
      plus hot-region-unbalanced (markers that do not pair up) and
      hot-region-missing (a file listed in REQUIRED_HOT_FILES carries no
@@ -119,10 +124,12 @@ REQUIRED_HOT_FILES = (
     "src/raslog/fast_io.hpp",
     "src/simgen/stream.cpp",
     "src/logstore/cursor.cpp",
+    "src/mining/apriori.cpp",
     "src/mining/rules.cpp",
     "src/mining/event_sets.cpp",
     "src/mining/transaction.cpp",
     "src/mining/transaction.hpp",
+    "src/predict/rule_predictor.cpp",
     "src/preprocess/fused_ingest.cpp",
     "src/taxonomy/classifier.cpp",
     "src/core/online.cpp",
@@ -180,6 +187,15 @@ RE_HOT_BYVALUE = re.compile(
     r"unordered_set)\s*(?:<[^<>;=]*(?:<[^<>;=]*>)?[^<>;=]*>)?|"
     r"\b(?:Itemset|Transaction))\s+\w+\s*[,)]")
 
+# A heap-backed set materialized in a hot region: an owning local (type,
+# name, then ';', '=', '(' or '{'), a temporary, or DynamicBitset's
+# copy-returning AND. References and pointers (`const DynamicBitset&`)
+# and the fixed-width ItemBitset do not match.
+RE_HOT_BITSET_COPY = re.compile(
+    r"\b(?:DynamicBitset|Itemset|Transaction)\s+\w+\s*[;=({]|"
+    r"\b(?:DynamicBitset|Itemset|Transaction)\s*[({]|"
+    r"\bDynamicBitset\s*::\s*and_of\b")
+
 RE_FANALYZER = re.compile(
     r"^(?P<path>[^:\s][^:]*):(?P<line>\d+):(?:\d+:)?\s+warning:.*"
     r"\[(?P<rule>-Wanalyzer-[a-z0-9-]+)\]")
@@ -212,6 +228,9 @@ HOT_LINE_RULES = (
     ("hot-byvalue-param", RE_HOT_BYVALUE,
      "hot-region functions take containers/strings by reference, not by "
      "value"),
+    ("hot-bitset-copy", RE_HOT_BITSET_COPY,
+     "hot regions must not materialize DynamicBitset/Itemset sets; use "
+     "ItemBitset values or reused word arrays"),
 )
 
 
